@@ -13,7 +13,7 @@ import time
 from math import comb
 
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
-CLASSIFY_LIMIT = 3000  # max C(n,3) scale for on-the-fly median classification is n^3-ish
+CLASSIFY_LIMIT = 3000  # max n for on-the-fly classification, which needs the n x n distance matrix
 PAIRWISE_EDGE_LIMIT = 3000  # beyond this the O(|E|^2) Theta scan is refused
 
 
@@ -101,8 +101,8 @@ class Analysis:
                     return known
             if self.g.n > CLASSIFY_LIMIT:
                 raise PreconditionError(
-                    f"graph too large to classify by triple scan (n={self.g.n}); "
-                    "only generated median families are supported at this size"
+                    f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
+                    "all-pairs distances; only generated median families are supported at this size"
                 )
             self._classification = median_classification(self.g, self.d, self.theta)
         return self._classification
@@ -162,6 +162,7 @@ def _formula_result(an, index, k):
 
 
 def _brute_value(an, index, k, guard):
+    from .errors import IntegralityError
     from .graph import hyper_wiener
     from .steiner import steiner_hosoya, steiner_k_indices_brute
 
@@ -169,7 +170,8 @@ def _brute_value(an, index, k, guard):
         return an.moments.wiener
     if index == "ww":
         ww = hyper_wiener(an.moments)
-        assert ww.denominator == 1
+        if ww.denominator != 1:
+            raise IntegralityError(f"hyper-Wiener index {ww} is not an integer")
         return int(ww)
     if index == "hosoya":
         return steiner_hosoya(an.g, an.d, k)
@@ -295,6 +297,8 @@ def run_compute(args):
 
 
 def run_classify(args):
+    from .errors import PreconditionError
+
     g, desc, label = load_graph(args)
     an = Analysis(g, desc)
     cls = an.classification
@@ -309,7 +313,7 @@ def run_classify(args):
     }
     try:
         report["classes"] = an.theta.class_count
-    except Exception:
+    except PreconditionError:
         report["classes"] = "unknown"
     if cls.witness is not None:
         report["witness"] = ",".join(str(v) for v in cls.witness)

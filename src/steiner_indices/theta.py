@@ -9,12 +9,11 @@ an isometric hypercube embedding.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotPartialCubeClassError, PreconditionError
+from .errors import IntegralityError, NotPartialCubeClassError, PreconditionError
 from .graph import all_pairs_distances, is_connected
 
 
@@ -240,21 +239,27 @@ class PairCountTable:
 
 
 def pair_counts(tc):
-    """Intersection counts of all side pairs, via one boolean matrix product."""
+    """Intersection counts of all side pairs, via one Gram matrix X X^T.
+
+    X is the 0/1 side-1 membership matrix in float64 so the product runs
+    through BLAS; every entry is at most n < 2^53, so the Gram is exact.
+    """
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     d = tc.class_count
     n = tc.n
-    member = np.zeros((d, n), dtype=np.int64)
+    member = np.zeros((d, n), dtype=np.float64)
     for i, (_, s1) in enumerate(tc.sides):
-        member[i, list(s1)] = 1
-    n11 = member @ member.T
+        member[i, list(s1)] = 1.0
+    n11 = (member @ member.T).astype(np.int64)
     side1_sizes = [len(s1) for _, s1 in tc.sides]
-    table = PairCountTable(n, n11, side1_sizes)
-    for (_, _), (n00, n01, n10, n11v) in table.pairs():
-        assert n00 + n01 + n10 + n11v == n
-        assert min(n00, n01, n10, n11v) >= 0
-    return table
+    s1 = np.array(side1_sizes, dtype=np.int64)
+    n10 = s1[:, None] - n11
+    n01 = s1[None, :] - n11
+    n00 = n - n11 - n10 - n01
+    if (np.minimum(np.minimum(n00, n01), np.minimum(n10, n11)) < 0).any():
+        raise IntegralityError("negative quadrant count: side partitions are inconsistent")
+    return PairCountTable(n, n11, side1_sizes)
 
 
 def is_bipartite(g):
@@ -330,13 +335,88 @@ class GraphClassification:
         return self.median_status in ("median", "modular_not_median")
 
 
+_BLOCK_ELEMENTS = 1 << 16  # roots x wedges evaluated per numpy step
+
+
+def _common_neighbour_pairs(adjacency):
+    """Every wedge v - z - w (v < w), grouped by the pair (v, w).
+
+    Returns (pv, pw, count, centre): the distinct pairs, how many common
+    neighbours each has, and the centre z of every wedge in pair order.
+    """
+    n = len(adjacency)
+    vs, ws, zs = [], [], []
+    for z, nb in enumerate(adjacency):
+        if len(nb) < 2:
+            continue
+        i, j = np.triu_indices(len(nb), 1)
+        nb = np.asarray(nb, dtype=np.int64)
+        vs.append(nb[i])
+        ws.append(nb[j])
+        zs.append(np.full(i.size, z, dtype=np.int64))
+    key = np.concatenate(vs) * n + np.concatenate(ws)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[starts, key.size])
+    return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
+
+
+def _first_quadrangle_failure(a, pv, pw, count, centre):
+    """Smallest root u at which the quadrangle condition fails, or None.
+
+    The pair (v, w) fails at u when d(u,v) == d(u,w) and no common neighbour
+    is closer to u; in a bipartite graph they then all lie one level further.
+    """
+    starts = np.cumsum(count) - count
+    wedge_v = np.repeat(pv, count)
+    block = max(1, _BLOCK_ELEMENTS // centre.size)
+    for lo in range(0, a.shape[0], block):
+        rows = a[lo : lo + block]
+        closer = np.logical_or.reduceat(rows[:, centre] < rows[:, wedge_v], starts, axis=1)
+        fails = ((rows[:, pv] == rows[:, pw]) & ~closer).any(axis=1)
+        if fails.any():
+            return lo + int(np.argmax(fails))
+    return None
+
+
+def _first_triple(a, start, zero):
+    """Lexicographically first triple u < v < w with u >= start whose median
+    count is 0 (zero=True) or at least 2 (zero=False).
+
+    x is a median of (u, v, w) iff x lies in I(u,v) and I(u,w) and
+    2 d(u,x) = d(u,v) + d(u,w) - d(v,w). Memory is O(n^2) per root u.
+    """
+    n = a.shape[0]
+    for u in range(start, n - 2):
+        au = a[u]
+        interval = au + a == au[:, None]  # [v, x]: x lies on a u-v geodesic
+        gromov2 = au + au[:, None] - a
+        for v in range(u + 1, n - 1):
+            x = np.flatnonzero(interval[v])
+            medians = interval[v + 1 :, x] & (2 * au[x] == gromov2[v, v + 1 :, None])
+            counts = medians.sum(axis=1)
+            hit = np.flatnonzero(counts == 0 if zero else counts >= 2)
+            if hit.size:
+                return u, v, v + 1 + int(hit[0])
+    raise RuntimeError("local median tests and triple search disagree")
+
+
 def median_classification(g, d=None, tc=None):
     """Classify a connected graph by its median structure.
 
-    Scans all vertex triples, stopping early once a zero-median triple proves
-    the graph not modular. Graphs with n < 3 are classified median by
-    convention. The witness is a triple with no median (not_modular) or with
-    at least two medians (modular_not_median).
+    Decided by local tests (Bandelt and Chepoi, "Metric graph theory and
+    geometry: a survey", 2008): a graph is modular iff it is bipartite and
+    satisfies the quadrangle condition, and a modular graph is median iff it
+    has no induced K_{2,3}, i.e. no pair with three common neighbours. Graphs
+    with n < 3 are classified median by convention.
+
+    The witness is the lexicographically first triple with no median
+    (not_modular) or with at least two medians (modular_not_median). Every
+    triple through a root u has a median iff no edge joins two vertices
+    equidistant from u and the quadrangle condition holds at u (push a v-w
+    geodesic down through the quadrangles), so the first zero-median triple
+    starts at the first failing root, and at 0 when G is not bipartite.
     """
     if not is_connected(g):
         raise PreconditionError("median_classification requires a connected graph")
@@ -349,16 +429,16 @@ def median_classification(g, d=None, tc=None):
         tc = theta_classes(g, d)
     pc = is_partial_cube(g, d, tc)
 
-    status = "median"
-    witness = None
-    a = d.a
-    for u, v, w in combinations(range(g.n), 3):
-        du, dv, dw = a[u], a[v], a[w]
-        ok = (du + dv == a[u, v]) & (du + dw == a[u, w]) & (dv + dw == a[v, w])
-        c = int(np.count_nonzero(ok))
-        if c == 0:
-            return GraphClassification(True, bip, pc.is_partial_cube, "not_modular", (u, v, w))
-        if c >= 2 and status == "median":
-            status = "modular_not_median"
-            witness = (u, v, w)
+    if not bip:
+        status, root = "not_modular", 0
+    else:
+        pv, pw, count, centre = _common_neighbour_pairs(g.adjacency)
+        root = _first_quadrangle_failure(d.a, pv, pw, count, centre)
+        if root is not None:
+            status = "not_modular"
+        elif (count >= 3).any():
+            status, root = "modular_not_median", 0
+        else:
+            return GraphClassification(True, bip, pc.is_partial_cube, "median", None)
+    witness = _first_triple(d.a, root, status == "not_modular")
     return GraphClassification(True, bip, pc.is_partial_cube, status, witness)

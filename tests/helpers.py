@@ -3,7 +3,8 @@
 import random
 from itertools import combinations, permutations
 
-from steiner_indices import Graph, GeneratorDescriptor, generate
+from steiner_indices import Graph, GeneratorDescriptor, count_medians, generate, is_bipartite
+from steiner_indices.graph import is_connected
 
 
 def path(n):
@@ -57,6 +58,73 @@ def random_connected_graph(rng, n, extra_edges):
     rng.shuffle(candidates)
     edges.update(candidates[:extra_edges])
     return Graph.from_edges(n, sorted(edges))
+
+
+def random_bipartite_graph(rng, n, extra_edges):
+    """Random labeled tree plus extra edges across its 2-coloring; connected, bipartite."""
+    t = tree(rng.randrange(10**9), n)
+    _, color = is_bipartite(t)
+    edges = set(t.edges)
+    candidates = [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if color[i] != color[j] and (i, j) not in edges
+    ]
+    rng.shuffle(candidates)
+    edges.update(candidates[:extra_edges])
+    return Graph.from_edges(n, sorted(edges))
+
+
+def induced_subgraph(g, keep):
+    """Subgraph induced by the vertex set keep, relabeled 0..len(keep)-1 in order."""
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return Graph.from_edges(len(index), edges)
+
+
+def classification_corpus(seed=3):
+    """Seeded mix of small connected graphs covering all three median statuses.
+
+    Random connected and random bipartite graphs, connected induced subgraphs
+    of Q3-Q5, K_{2,m} and K_{3,m}, odd and even cycles, trees, grids, prisms.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(180):
+        n = rng.randrange(3, 12)
+        out.append(random_connected_graph(rng, n, rng.randrange(0, n)))
+    for _ in range(220):
+        n = rng.randrange(3, 14)
+        out.append(random_bipartite_graph(rng, n, rng.randrange(0, n)))
+    for k in (3, 4, 5):
+        q = hypercube(k)
+        found = 0
+        while found < 30:
+            h = induced_subgraph(q, rng.sample(range(2**k), rng.randrange(3, min(2**k, 20) + 1)))
+            if is_connected(h):
+                out.append(h)
+                found += 1
+    out += [complete_bipartite(a, m) for a in (2, 3) for m in range(1, 8)]
+    out += [cycle(k) for k in range(3, 14)]
+    out += [tree(s, 3 + s % 12) for s in range(12)]
+    out += [grid(a, b) for a in range(1, 5) for b in range(2, 6)]
+    out += [prism(k) for k in range(3, 9)]
+    return out
+
+
+def triple_scan_classification(d):
+    """(median_status, witness) by counting the medians of every vertex triple.
+
+    The definition-level oracle for median_classification: the first triple
+    in lexicographic order with no median, else the first with two or more.
+    """
+    status, witness = "median", None
+    for u, v, w in combinations(range(d.n), 3):
+        count = count_medians(d, u, v, w)
+        if count == 0:
+            return "not_modular", (u, v, w)
+        if count >= 2 and witness is None:
+            status, witness = "modular_not_median", (u, v, w)
+    return status, witness
 
 
 def small_corpus(count=30, max_n=9, seed=20240815):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from steiner_indices import cli
+from steiner_indices import cli, generate, parse_descriptor
 from steiner_indices.cli import main
 
 
@@ -50,6 +50,15 @@ class TestCompute:
         assert code == 2
         assert "not modular" in err
         assert "0,2,4" in err
+
+    def test_grid_file_classified_then_cut(self, capsys, tmp_path):
+        g = generate(parse_descriptor("grid:20,20"))
+        f = tmp_path / "grid20.txt"
+        f.write_text(f"{g.n} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0
+        assert "method = cut" in out
+        assert "sww3 = 2433022200" in out  # grid_sww3(20, 20)
 
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]

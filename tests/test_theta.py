@@ -5,20 +5,26 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    classification_corpus,
     complete,
     complete_bipartite,
     cycle,
     grid,
     hypercube,
+    induced_subgraph,
     path,
     prism,
     small_corpus,
     star,
     tree,
+    triple_scan_classification,
 )
+from steiner_indices import theta as theta_module
 from steiner_indices import (
+    IntegralityError,
     NotPartialCubeClassError,
     PreconditionError,
+    ThetaClasses,
     all_pairs_distances,
     count_medians,
     is_bipartite,
@@ -158,6 +164,14 @@ class TestPairCounts:
         _, tc = analyzed(g)
         pc = pair_counts(tc)
         assert pc.get(0, 1) == (1, 1, 1, 1)
+
+    def test_inconsistent_sides_raise(self):
+        # side 1 of both classes names vertex 1 twice (as 1 and as -1), so
+        # |S_i| + |S_j| - |S_i & S_j| exceeds n and n00 comes out negative
+        bad = (frozenset({0}), frozenset({-1, 1}))
+        tc = ThetaClasses(n=2, classes=(((0, 1),), ((0, 1),)), sides=(bad, bad))
+        with pytest.raises(IntegralityError):
+            pair_counts(tc)
 
     def test_grid_cut_pair_quadrants(self):
         # a column cut i and a row cut j split a grid into blocks
@@ -310,6 +324,30 @@ class TestMedianClassification:
     def test_trees_are_median(self):
         for s in range(8):
             assert median_classification(tree(s, 5 + s)).median_status == "median"
+
+    def test_local_tests_match_triple_scan_oracle(self):
+        seen = set()
+        for g in classification_corpus():
+            d = all_pairs_distances(g)
+            cls = median_classification(g, d)
+            assert (cls.median_status, cls.witness) == triple_scan_classification(d), g.edges
+            seen.add(cls.median_status)
+        assert seen == {"median", "modular_not_median", "not_modular"}
+
+    def test_one_root_per_block_gives_same_result(self, monkeypatch):
+        graphs = classification_corpus()[::7]
+        expected = [median_classification(g) for g in graphs]
+        monkeypatch.setattr(theta_module, "_BLOCK_ELEMENTS", 1)
+        assert [median_classification(g) for g in graphs] == expected
+
+    def test_late_quadrangle_failure_witness(self):
+        # Q3 minus vertex 7: (3, 5, 6) is the only zero-median triple, so the
+        # quadrangle condition first fails at root 3 and the search starts there
+        g = induced_subgraph(hypercube(3), range(7))
+        d = all_pairs_distances(g)
+        cls = median_classification(g, d)
+        assert (cls.median_status, cls.witness) == ("not_modular", (3, 5, 6))
+        assert triple_scan_classification(d) == ("not_modular", (3, 5, 6))
 
 
 def test_bipartite_detection():
