@@ -112,16 +112,26 @@ class Analysis:
         if self._tc is None:
             from .errors import PreconditionError
             from .generators import family_classification
-            from .theta import theta_classes
+            from .theta import median_classification, theta_classes
 
             known = family_classification(self.desc) if self.desc is not None else None
             if known is not None and known.partial_cube:
                 # generated median family: one two-source BFS per class, no APSP needed
                 self._tc = theta_classes(self.g, method="crossing")
             elif self.g.size > PAIRWISE_EDGE_LIMIT:
-                raise PreconditionError(
-                    f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
-                )
+                # keep the crossing partition only if it labels the graph isometrically
+                cls = None
+                if self.g.n <= CLASSIFY_LIMIT:
+                    try:
+                        tc = theta_classes(self.g, method="crossing")
+                        cls = median_classification(self.g, self.d, tc)
+                    except PreconditionError:
+                        pass
+                if cls is None or not cls.partial_cube:
+                    raise PreconditionError(
+                        f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
+                    )
+                self._tc, self._classification = tc, cls
             else:
                 self._tc = theta_classes(self.g, self.d)
         return self._tc

@@ -5,7 +5,6 @@ integer array for fast vectorized kernels, but every public accessor returns
 Python ints.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,18 +107,19 @@ def parse_edge_list(text):
 
 def bfs_distances(g, source):
     """Distances from one source as a numpy int32 vector, -1 if unreachable."""
-    dist = np.full(g.n, -1, dtype=np.int32)
+    dist = [-1] * g.n
     dist[source] = 0
-    queue = deque([source])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+    frontier, depth = [source], 0
+    while frontier:  # level-synchronous over plain lists, converted once
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for w in g.adjacency[x]:
+                if dist[w] < 0:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return np.array(dist, dtype=np.int32)
 
 
 class DistanceMatrix:

@@ -97,10 +97,50 @@ class SteinerHosoya:
         return sorted(self.coeffs.items())
 
 
-def steiner_hosoya(g, d, k):
-    """Tally Steiner distances over all C(n, k) subsets."""
+def _check_k(g, k):
     if not 1 <= k <= min(g.n, K_MAX):
         raise PreconditionError(f"k must satisfy 1 <= k <= min(n, {K_MAX}), got {k}")
+
+
+_BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
+
+
+def _triple_histogram(d):
+    """Steiner distances of all vertex triples, tallied: hist[m] = #triples at m.
+
+    For each u the rows d(u,.) + d(v,.), v > u, are added to d(w,.) in blocks
+    of v, minimised over the branch vertex, and the entries with w > v are
+    counted. The sums reach 3 max d: they run in int16 while that is at most
+    32767 (every graph with diameter at most 10922), else in int32, and a
+    matrix whose sums would overflow int32 is refused rather than wrapped.
+    """
+    n = d.n
+    top = 3 * int(d.a.max())
+    if top > np.iinfo(np.int32).max:
+        raise PreconditionError(f"distances up to {top // 3} overflow the int32 triple kernel")
+    a = d.a.astype(np.int16 if top <= np.iinfo(np.int16).max else np.int32)
+    hist = np.zeros(top + 1, dtype=np.int64)
+    for u in range(n - 2):
+        pair = a[u] + a[u + 1 :]  # row r: d(u,.) + d(v,.), v = u + 1 + r
+        rows = max(1, _BLOCK_ELEMENTS // ((n - u) * n))
+        for r0 in range(0, n - u - 2, rows):
+            r1 = min(r0 + rows, n - u - 2)
+            third = a[u + 2 + r0 :]  # w from the block's first v + 1
+            dmin = (pair[r0:r1, None, :] + third[None]).min(axis=2)
+            keep = np.arange(third.shape[0]) >= np.arange(r1 - r0)[:, None]
+            hist += np.bincount(dmin[keep], minlength=top + 1)
+    return hist
+
+
+def steiner_hosoya(g, d, k):
+    """Tally Steiner distances over all C(n, k) subsets.
+
+    k = 3 runs in one vectorized kernel; other k enumerate the subsets.
+    """
+    _check_k(g, k)
+    if k == 3:
+        hist = _triple_histogram(d).tolist()
+        return SteinerHosoya(k=3, coeffs={m: c for m, c in enumerate(hist) if c})
     coeffs = {}
     for s in combinations(range(g.n), k):
         m = steiner_distance(g, d, s)
@@ -120,63 +160,19 @@ def indices_from_hosoya(p):
     return sw, sw + exact_div(second, 2)
 
 
-def _brute3_moments(d):
-    """Sum of d(S) and d(S)^2 over all vertex triples, vectorized.
+def steiner_k_indices_brute(g, d, k, guard=None):
+    """(SW_k, SWW_k) from the Steiner k-Hosoya polynomial of all k-subsets.
 
-    Full enumeration: for every triple the branch-vertex minimum is taken over
-    all n candidate vertices, in blocked numpy kernels.
+    ``guard`` caps the number of enumerated subsets.
     """
-    a16 = d.a.astype(np.int16)
-    n = a16.shape[0]
-    total = 0
-    total_sq = 0
-    chunk = 16
-    for u in range(n - 2):
-        pair = a16[u] + a16[u + 1 :]  # row r: d(u,.) + d(v,.), v = u+1+r
-        big = pair.shape[0]
-        for c0 in range(0, big, chunk):
-            c1 = min(c0 + chunk, big)
-            w0 = u + 2 + c0  # smallest admissible third vertex in this block
-            if w0 >= n:
-                break
-            tmp = pair[c0:c1, None, :] + a16[None, w0:, :]  # (B, n-w0, n)
-            dmin = tmp.min(axis=2).astype(np.int64)  # (B, n-w0)
-            for b in range(c1 - c0):
-                v = u + 1 + c0 + b
-                vals = dmin[b, v + 1 - w0 :]
-                total += int(vals.sum())
-                total_sq += int((vals * vals).sum())
-    return total, total_sq
-
-
-def steiner_k_indices_brute(g, d, k, guard=None, use_fast_k3=None):
-    """(SW_k, SWW_k) by direct subset enumeration.
-
-    ``guard`` caps the number of enumerated subsets. For k = 3 on larger
-    graphs a blocked numpy kernel enumerates the same triples much faster.
-    """
-    if not 1 <= k <= min(g.n, K_MAX):
-        raise PreconditionError(f"k must satisfy 1 <= k <= min(n, {K_MAX}), got {k}")
+    _check_k(g, k)
     count = comb(g.n, k)
     if guard is not None and count > guard:
         raise PreconditionError(
             f"C({g.n},{k}) = {count} subsets exceeds the enumeration guard {guard}; "
             "use the cut method, a modular formula, or raise the guard"
         )
-    if use_fast_k3 is None:
-        use_fast_k3 = k == 3 and g.n >= 64
-    if k == 3 and use_fast_k3:
-        total, total_sq = _brute3_moments(d)
-    else:
-        total = 0
-        total_sq = 0
-        for s in combinations(range(g.n), k):
-            ds = steiner_distance(g, d, s)
-            total += ds
-            total_sq += ds * ds
-    sw = total
-    sww = exact_div(total + total_sq, 2)
-    return sw, sww
+    return indices_from_hosoya(steiner_hosoya(g, d, k))
 
 
 def modular_indices_3(d, m, classification):

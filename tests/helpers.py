@@ -3,7 +3,15 @@
 import random
 from itertools import combinations, permutations
 
-from steiner_indices import Graph, GeneratorDescriptor, count_medians, generate, is_bipartite
+from steiner_indices import (
+    Graph,
+    GeneratorDescriptor,
+    SteinerHosoya,
+    count_medians,
+    generate,
+    is_bipartite,
+    steiner_distance,
+)
 from steiner_indices.graph import is_connected
 
 
@@ -125,6 +133,25 @@ def triple_scan_classification(d):
         if count >= 2 and witness is None:
             status, witness = "modular_not_median", (u, v, w)
     return status, witness
+
+
+def enumerated_hosoya(g, d, k):
+    """Steiner k-Hosoya polynomial by one steiner_distance call per k-subset.
+
+    The plain-enumeration oracle for the vectorized k = 3 kernel.
+    """
+    coeffs = {}
+    for s in combinations(range(g.n), k):
+        m = steiner_distance(g, d, s)
+        coeffs[m] = coeffs.get(m, 0) + 1
+    return SteinerHosoya(k=k, coeffs=coeffs)
+
+
+def enumerated_indices(g, d, k):
+    """(SW_k, SWW_k) by their definition: the sums of d(S) and of (d(S) + d(S)^2) / 2
+    over all k-subsets S, one steiner_distance call each."""
+    ds = [steiner_distance(g, d, s) for s in combinations(range(g.n), k)]
+    return sum(ds), sum(m * (m + 1) // 2 for m in ds)
 
 
 def small_corpus(count=30, max_n=9, seed=20240815):

@@ -20,6 +20,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    enumerated_indices,
     grid,
     hypercube,
     naive_sum_cross,
@@ -143,7 +144,7 @@ def test_criterion_4_identity_suites():
             if k > g.n:
                 continue
             p = steiner_hosoya(g, d, k)
-            assert indices_from_hosoya(p) == steiner_k_indices_brute(g, d, k)
+            assert indices_from_hosoya(p) == steiner_k_indices_brute(g, d, k) == enumerated_indices(g, d, k)
     # (b) cross moment per-vertex identity vs the O(n^3) triple loop
     for g in corpus[:12]:
         d = all_pairs_distances(g)

@@ -60,6 +60,25 @@ class TestCompute:
         assert "method = cut" in out
         assert "sww3 = 2433022200" in out  # grid_sww3(20, 20)
 
+    def test_grid_file_above_edge_limit_uses_crossing_classes(self, capsys, tmp_path):
+        g = generate(parse_descriptor("grid:40,40"))
+        assert g.size > cli.PAIRWISE_EDGE_LIMIT
+        f = tmp_path / "grid40.txt"
+        f.write_text(f"{g.n} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0
+        assert "method = cut" in out
+        assert "sww3 = 613123544800" in out  # grid_sww3(40, 40)
+
+    def test_non_partial_cube_file_above_edge_limit_is_refused(self, capsys, tmp_path):
+        g = generate(parse_descriptor("complete:80"))
+        assert g.size > cli.PAIRWISE_EDGE_LIMIT
+        f = tmp_path / "k80.txt"
+        f.write_text(f"{g.n} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, _, err = run(capsys, "classify", "--input", str(f))
+        assert code == 2
+        assert "too large for the pairwise Theta scan" in err
+
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]
         f = tmp_path / "k23.txt"

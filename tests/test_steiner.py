@@ -1,8 +1,10 @@
 """Steiner distances, the k-Hosoya polynomial, and the k-index computations."""
 
+import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -10,13 +12,18 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    enumerated_hosoya,
+    enumerated_indices,
     grid,
     path,
+    random_bipartite_graph,
+    random_connected_graph,
     small_corpus,
     star,
     tree,
 )
 from steiner_indices import (
+    DistanceMatrix,
     PreconditionError,
     all_pairs_distances,
     count_medians,
@@ -127,7 +134,7 @@ class TestIndicesFromHosoya:
                 if k > g.n:
                     continue
                 from_poly = indices_from_hosoya(steiner_hosoya(g, d, k))
-                assert from_poly == steiner_k_indices_brute(g, d, k)
+                assert from_poly == steiner_k_indices_brute(g, d, k) == enumerated_indices(g, d, k)
 
     def test_k2_reduces_to_classical_indices(self):
         for g in small_corpus(count=8, max_n=8, seed=61):
@@ -154,9 +161,67 @@ class TestBruteIndices:
     def test_fast_k3_kernel_matches_plain_enumeration(self):
         for g in [grid(3, 4), cycle(9), complete_bipartite(3, 4)]:
             d = all_pairs_distances(g)
-            slow = steiner_k_indices_brute(g, d, 3, use_fast_k3=False)
-            fast = steiner_k_indices_brute(g, d, 3, use_fast_k3=True)
+            slow = indices_from_hosoya(enumerated_hosoya(g, d, 3))
+            fast = steiner_k_indices_brute(g, d, 3)
             assert slow == fast
+
+
+def _kernel_corpus():
+    """Cycles C3-C15, K_{2,m}, and seeded random connected and bipartite
+    graphs with n from 3 to 70, across the old n = 64 kernel boundary."""
+    rng = random.Random(97)
+    graphs = [cycle(k) for k in range(3, 16)]
+    graphs += [complete_bipartite(2, m) for m in range(1, 9)]
+    for n in (*range(3, 13), 17, 25, 40, 63, 64, 70):
+        graphs.append(random_connected_graph(rng, n, rng.randrange(0, n + 1)))
+        graphs.append(random_bipartite_graph(rng, n, rng.randrange(0, n + 1)))
+    return graphs
+
+
+class TestTripleKernel:
+    def test_kernel_equals_per_triple_enumeration(self):
+        for g in _kernel_corpus():
+            d = all_pairs_distances(g)
+            expected = enumerated_hosoya(g, d, 3)
+            got = steiner_hosoya(g, d, 3)
+            assert got.coeffs == expected.coeffs
+            assert steiner_k_indices_brute(g, d, 3) == indices_from_hosoya(expected)
+
+    def test_kernel_equals_subtree_enumeration_on_small_graphs(self):
+        for g in _kernel_corpus():
+            if g.n > 9:
+                continue
+            d = all_pairs_distances(g)
+            expected = {}
+            for s in combinations(range(g.n), 3):
+                m = brute_steiner_by_subtrees(g, d, s)
+                expected[m] = expected.get(m, 0) + 1
+            assert steiner_hosoya(g, d, 3).coeffs == expected
+
+    @staticmethod
+    def _fabricated(rng, n, low, high):
+        a = np.zeros((n, n), dtype=np.int64)
+        for u, v in combinations(range(n), 2):
+            a[u, v] = a[v, u] = rng.randint(low, high)  # high <= 2 low: a metric
+        return a
+
+    def test_distances_beyond_int16_stay_exact(self):
+        # 3 max d exceeds int16, where the sums would wrap
+        rng = random.Random(11)
+        for n in (3, 4):
+            a = self._fabricated(rng, n, 11_000, 21_999)
+            d = DistanceMatrix(a)
+            rows = a.tolist()
+            expected = {}
+            for u, v, w in combinations(range(n), 3):
+                m = min(rows[u][x] + rows[v][x] + rows[w][x] for x in range(n))
+                expected[m] = expected.get(m, 0) + 1
+            assert steiner_hosoya(path(n), d, 3).coeffs == expected
+
+    def test_distances_beyond_int32_are_refused(self):
+        d = DistanceMatrix(self._fabricated(random.Random(1), 4, 2**30 - 10, 2**30))
+        with pytest.raises(PreconditionError, match="overflow"):
+            steiner_hosoya(path(4), d, 3)
 
 
 class TestModularIndices3:
