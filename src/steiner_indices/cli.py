@@ -104,7 +104,9 @@ class Analysis:
                     f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
                     "all-pairs distances; only generated median families are supported at this size"
                 )
-            self._classification = median_classification(self.g, self.d, self.theta)
+            tc = self.theta  # may classify the graph on the way
+            if self._classification is None:
+                self._classification = median_classification(self.g, self.d, tc)
         return self._classification
 
     @property
@@ -112,28 +114,32 @@ class Analysis:
         if self._tc is None:
             from .errors import PreconditionError
             from .generators import family_classification
-            from .theta import median_classification, theta_classes
+            from .theta import is_bipartite, median_classification, theta_classes
 
             known = family_classification(self.desc) if self.desc is not None else None
             if known is not None and known.partial_cube:
                 # generated median family: one two-source BFS per class, no APSP needed
                 self._tc = theta_classes(self.g, method="crossing")
-            elif self.g.size > PAIRWISE_EDGE_LIMIT:
+                return self._tc
+            if self.g.n <= CLASSIFY_LIMIT and is_bipartite(self.g)[0]:
                 # keep the crossing partition only if it labels the graph isometrically
-                cls = None
-                if self.g.n <= CLASSIFY_LIMIT:
-                    try:
-                        tc = theta_classes(self.g, method="crossing")
-                        cls = median_classification(self.g, self.d, tc)
-                    except PreconditionError:
-                        pass
-                if cls is None or not cls.partial_cube:
-                    raise PreconditionError(
-                        f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
-                    )
-                self._tc, self._classification = tc, cls
-            else:
-                self._tc = theta_classes(self.g, self.d)
+                try:
+                    tc = theta_classes(self.g, method="crossing")
+                except PreconditionError:
+                    tc = None
+                if tc is not None:
+                    # a partial cube's crossing classes are its Theta*-classes, so
+                    # a failed isometry check means it is no partial cube and the
+                    # classification holds either way
+                    self._classification = median_classification(self.g, self.d, tc)
+                    if self._classification.partial_cube:
+                        self._tc = tc
+                        return tc
+            if self.g.size > PAIRWISE_EDGE_LIMIT:
+                raise PreconditionError(
+                    f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
+                )
+            self._tc = theta_classes(self.g, self.d)
         return self._tc
 
     @property
@@ -192,7 +198,7 @@ def _brute_value(an, index, k, guard):
 def _compute_value(an, index, k, method, guard):
     """Returns (value, method_tag). Raises PreconditionError when an explicitly
     requested method is inapplicable."""
-    from .errors import PreconditionError
+    from .errors import PreconditionError, not_modular_error
     from .cutmethod import sw3_cut, sww3_cut, wiener_cut, wwbar_cut
     from .steiner import exact_div, modular_indices_3
 
@@ -241,9 +247,7 @@ def _compute_value(an, index, k, method, guard):
             return sww3_cut(tc, an.pairs, an.g.n, cls), "cut"
         if method == "cut":
             if cls is not None and cls.partial_cube and not cls.modular:
-                witness = cls.witness
-                detail = f" (witness triple {','.join(map(str, witness))})" if witness else ""
-                raise PreconditionError(f"graph is not modular{detail}")
+                raise not_modular_error(cls.witness)
             raise PreconditionError("graph is not a verified modular partial cube")
     if method == "cut":
         raise PreconditionError("cut method exists only for k = 3")
@@ -253,9 +257,7 @@ def _compute_value(an, index, k, method, guard):
             sw3, sww3 = modular_indices_3(an.d, an.moments, cls)
             return (sw3 if index == "sw" else sww3), "modular"
         if method == "modular":
-            witness = cls.witness
-            detail = f" (witness triple {','.join(map(str, witness))})" if witness else ""
-            raise PreconditionError(f"graph is not modular{detail}")
+            raise not_modular_error(cls.witness)
     if method == "modular":
         raise PreconditionError("modular formulas exist only for k = 3")
     return _brute_value(an, index, k, guard), "brute"
@@ -408,11 +410,6 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("STEINER_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

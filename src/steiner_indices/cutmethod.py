@@ -7,7 +7,7 @@ they run over d classes instead of all vertex subsets.
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, not_modular_error
 from .steiner import exact_div
 
 
@@ -23,9 +23,7 @@ def _require_modular_partial_cube(classification):
     if not classification.partial_cube:
         raise PreconditionError("graph is not a verified partial cube")
     if not classification.modular:
-        witness = classification.witness
-        detail = f" (witness triple {witness})" if witness else ""
-        raise PreconditionError(f"graph is not modular{detail}")
+        raise not_modular_error(classification.witness)
 
 
 def _f1(n0, n1):

@@ -42,3 +42,9 @@ class IntegralityError(ArithmeticError):
     Signals an implementation bug or a violated precondition, never a
     rounding issue: all arithmetic is exact.
     """
+
+
+def not_modular_error(witness):
+    """The refusal for a graph that is not modular, naming its witness triple."""
+    detail = f" (witness triple {','.join(map(str, witness))})" if witness else ""
+    return PreconditionError(f"graph is not modular{detail}")

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import IntegralityError, PreconditionError
+from .errors import IntegralityError, PreconditionError, not_modular_error
 
 # state space of the subset DP is 2^(k-1) * n; beyond this we refuse
 K_MAX = 12
@@ -188,9 +188,7 @@ def modular_indices_3(d, m, classification):
     if n < 3:
         raise PreconditionError("modular k=3 formulas need at least three vertices")
     if not classification.modular:
-        witness = classification.witness
-        detail = f" (witness triple {witness})" if witness else ""
-        raise PreconditionError(f"graph is not modular{detail}")
+        raise not_modular_error(classification.witness)
     sw3 = exact_div((n - 2) * m.wiener, 2)
     sww3 = exact_div(2 * (n - 2) * m.wiener + (n - 2) * m.sum_sq + m.sum_cross, 8)
     return sw3, sww3

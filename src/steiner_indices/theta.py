@@ -28,14 +28,20 @@ def theta_related(d, e1, e2):
 class ThetaClasses:
     """Edge partition under Theta*, with side bipartitions when they exist.
 
-    ``classes`` are ordered by smallest contained edge; ``sides`` is None when
-    some class does not split the graph into exactly two components (i.e. the
-    graph is not a partial cube).
+    ``classes`` are ordered by smallest contained edge. ``sides`` is a
+    read-only (d, n) bool matrix: ``sides[i, v]`` is True iff v lies in side 1
+    of class i, and side 0 holds vertex 0. It is None when some class does not
+    split the graph into exactly two components (i.e. the graph is not a
+    partial cube).
     """
 
     n: int
     classes: tuple
-    sides: Optional[tuple]
+    sides: Optional[np.ndarray]
+
+    def __post_init__(self):
+        if self.sides is not None:
+            self.sides.flags.writeable = False
 
     @property
     def class_count(self):
@@ -45,13 +51,13 @@ class ThetaClasses:
     def side_counts(self):
         if self.sides is None:
             raise PreconditionError("side partitions unavailable: not a partial-cube class structure")
-        return tuple((len(s0), len(s1)) for s0, s1 in self.sides)
+        return tuple((self.n - s1, s1) for s1 in self.sides.sum(axis=1).tolist())
 
 
 def side_partition(g, cls):
-    """Connected components of G minus a Theta*-class, as two vertex sets.
+    """Connected components of G minus a Theta*-class, as one bool row.
 
-    side0 is the component containing the smallest vertex id. Raises
+    The row is True at the vertices outside the component of vertex 0. Raises
     NotPartialCubeClassError when the removal leaves != 2 components.
     """
     removed = set()
@@ -74,19 +80,17 @@ def side_partition(g, cls):
         count += 1
     if count != 2:
         raise NotPartialCubeClassError(count)
-    side0 = frozenset(v for v in range(g.n) if comp[v] == comp[0])
-    side1 = frozenset(v for v in range(g.n) if comp[v] != comp[0])
-    return side0, side1
+    return np.array(comp, dtype=bool)
 
 
 def _attach_sides(g, classes):
-    sides = []
-    for cls in classes:
+    sides = np.zeros((len(classes), g.n), dtype=bool)
+    for i, cls in enumerate(classes):
         try:
-            sides.append(side_partition(g, cls))
+            sides[i] = side_partition(g, cls)
         except NotPartialCubeClassError:
             return None
-    return tuple(sides)
+    return sides
 
 
 def _theta_classes_pairwise(g, d):
@@ -179,11 +183,10 @@ def _theta_classes_crossing(g):
             return None  # overlap: Theta not transitive here
         assigned[idx] = len(classes)
         classes.append(tuple(g.edges[int(j)] for j in idx))
-        side_u = frozenset(np.flatnonzero(~closer_v).tolist())
-        side_v = frozenset(np.flatnonzero(closer_v).tolist())
-        sides.append((side_u, side_v) if 0 in side_u else (side_v, side_u))
+        sides.append(closer_v ^ closer_v[0])
     order = sorted(range(len(classes)), key=lambda idx: classes[idx][0])
-    return tuple(classes[idx] for idx in order), tuple(sides[idx] for idx in order)
+    sides = np.array(sides, dtype=bool).reshape(-1, g.n)
+    return tuple(classes[idx] for idx in order), sides[order]
 
 
 def theta_classes(g, d=None, method="pairwise"):
@@ -241,25 +244,21 @@ class PairCountTable:
 def pair_counts(tc):
     """Intersection counts of all side pairs, via one Gram matrix X X^T.
 
-    X is the 0/1 side-1 membership matrix in float64 so the product runs
-    through BLAS; every entry is at most n < 2^53, so the Gram is exact.
+    X is the side matrix in float64 so the product runs through BLAS; every
+    entry is at most n < 2^53, so the Gram is exact.
     """
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
-    d = tc.class_count
     n = tc.n
-    member = np.zeros((d, n), dtype=np.float64)
-    for i, (_, s1) in enumerate(tc.sides):
-        member[i, list(s1)] = 1.0
+    member = tc.sides.astype(np.float64)
     n11 = (member @ member.T).astype(np.int64)
-    side1_sizes = [len(s1) for _, s1 in tc.sides]
-    s1 = np.array(side1_sizes, dtype=np.int64)
+    s1 = tc.sides.sum(axis=1)
     n10 = s1[:, None] - n11
     n01 = s1[None, :] - n11
     n00 = n - n11 - n10 - n01
     if (np.minimum(np.minimum(n00, n01), np.minimum(n10, n11)) < 0).any():
         raise IntegralityError("negative quadrant count: side partitions are inconsistent")
-    return PairCountTable(n, n11, side1_sizes)
+    return PairCountTable(n, n11, s1.tolist())
 
 
 def is_bipartite(g):
@@ -285,7 +284,7 @@ def is_bipartite(g):
 class PartialCubeResult:
     is_partial_cube: bool
     reason: Optional[str]  # non-bipartite | bad class | non-isometric labeling
-    coordinates: Optional[tuple]  # per-vertex 0/1 tuples, dimension = class count
+    coordinates: Optional[np.ndarray]  # (n, d) bool view sides.T: row v is the label of v
 
 
 def is_partial_cube(g, d, tc):
@@ -299,18 +298,18 @@ def is_partial_cube(g, d, tc):
         return PartialCubeResult(False, "non-bipartite", None)
     if tc.sides is None:
         return PartialCubeResult(False, "bad class", None)
-    dim = tc.class_count
-    labels = np.zeros((g.n, dim), dtype=np.int64)
-    for i, (_, s1) in enumerate(tc.sides):
-        labels[list(s1), i] = 1
-    # Hamming distance of all pairs at once
-    ones = labels
-    zeros = 1 - labels
-    hamming = ones @ zeros.T + zeros @ ones.T
-    if not np.array_equal(hamming, d.a.astype(np.int64)):
+    # Hamming distance of all pairs, s_u + s_v - 2 (X^T X)[u, v] with s the
+    # column sums of the side matrix X; exact in float64, every entry is at
+    # most d < 2^53
+    member = tc.sides.astype(np.float64)
+    s = member.sum(axis=0)
+    hamming = member.T @ member
+    hamming *= -2
+    hamming += s[:, None]
+    hamming += s
+    if not np.array_equal(hamming, d.a):
         return PartialCubeResult(False, "non-isometric labeling", None)
-    coords = tuple(tuple(int(x) for x in row) for row in labels)
-    return PartialCubeResult(True, None, coords)
+    return PartialCubeResult(True, None, tc.sides.T)
 
 
 def count_medians(d, u, v, w):

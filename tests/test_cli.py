@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steiner_indices
 from steiner_indices import cli, generate, parse_descriptor
 from steiner_indices.cli import main
 
@@ -49,7 +54,29 @@ class TestCompute:
         )
         assert code == 2
         assert "not modular" in err
-        assert "0,2,4" in err
+        assert "witness triple 0,2,4" in err
+
+    def test_cut_run_imports_neither_scipy_nor_numba(self):
+        # a fresh process: importing scipy.sparse.csgraph alone takes longer
+        # than the whole small cut run
+        code = (
+            "import sys\n"
+            "from steiner_indices.cli import main\n"
+            "rc = main(['compute', '--gen', 'grid:3,3', '--index', 'sww', '--method', 'cut'])\n"
+            "print(rc, [m for m in ('scipy', 'numba') if m in sys.modules])\n"
+        )
+        src = str(Path(steiner_indices.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "method = cut" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_grid_file_classified_then_cut(self, capsys, tmp_path):
         g = generate(parse_descriptor("grid:20,20"))

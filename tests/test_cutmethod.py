@@ -82,8 +82,9 @@ class TestRefusals:
         g = cycle(6)  # partial cube but not modular
         d, tc, pc, cls = cut_setup(g)
         assert wiener_cut(tc) == distance_moments(d).wiener
-        with pytest.raises(PreconditionError, match="not modular"):
+        with pytest.raises(PreconditionError, match="not modular") as exc:
             sw3_cut(tc, g.n, cls)
+        assert "witness triple 0,2,4" in str(exc.value)
         with pytest.raises(PreconditionError, match="not modular"):
             sww3_cut(tc, pc, g.n, cls)
 

@@ -249,8 +249,9 @@ class TestModularIndices3:
         g = cycle(6)
         d = all_pairs_distances(g)
         cls = median_classification(g, d)
-        with pytest.raises(PreconditionError, match="not modular"):
+        with pytest.raises(PreconditionError, match="not modular") as exc:
             modular_indices_3(d, distance_moments(d), cls)
+        assert "witness triple 0,2,4" in str(exc.value)
 
     def test_agrees_with_brute_on_modular_corpus(self):
         graphs = [tree(s, 4 + s) for s in range(6)]

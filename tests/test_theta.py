@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -99,12 +100,23 @@ class TestThetaClasses:
 
     def test_crossing_agrees_with_pairwise_on_partial_cubes(self):
         graphs = [grid(3, 4), grid(2, 2), hypercube(3), path(6), tree(3, 11), cycle(8), prism(4)]
+        graphs += classification_corpus()
+        checked = 0
         for g in graphs:
             d = all_pairs_distances(g)
             a = theta_classes(g, d)
+            if not is_partial_cube(g, d, a).is_partial_cube:
+                continue
             b = theta_classes(g, method="crossing")
             assert a.classes == b.classes
-            assert a.sides == b.sides
+            assert np.array_equal(a.sides, b.sides)
+            for tc in (a, b):
+                assert tc.sides.dtype == bool
+                assert tc.sides.shape == (tc.class_count, g.n)
+                assert not tc.sides[:, 0].any()
+                assert not tc.sides.flags.writeable
+            checked += 1
+        assert checked >= 200
 
     def test_crossing_refuses_non_partial_cube(self):
         with pytest.raises(PreconditionError):
@@ -129,15 +141,16 @@ class TestSidePartition:
         g = cycle(4)
         _, tc = analyzed(g)
         for cls in tc.classes:
-            s0, s1 = side_partition(g, cls)
-            assert len(s0) == len(s1) == 2
-            assert 0 in s0
+            row = side_partition(g, cls)
+            assert row.dtype == bool and row.shape == (g.n,)
+            assert row.sum() == 2
+            assert not row[0]
 
     def test_grid_9x4_side_sizes(self):
         # column cuts split as 9i vs 9(4-i); row cuts as 4i vs 4(9-i)
         g = grid(9, 4)
         _, tc = analyzed(g)
-        sizes = sorted(tuple(sorted((len(s0), len(s1)))) for s0, s1 in tc.sides)
+        sizes = sorted(tuple(sorted((int((~row).sum()), int(row.sum())))) for row in tc.sides)
         expected = sorted(
             [tuple(sorted((9 * i, 9 * (4 - i)))) for i in range(1, 4)]
             + [tuple(sorted((4 * i, 4 * (9 - i)))) for i in range(1, 9)]
@@ -166,10 +179,11 @@ class TestPairCounts:
         assert pc.get(0, 1) == (1, 1, 1, 1)
 
     def test_inconsistent_sides_raise(self):
-        # side 1 of both classes names vertex 1 twice (as 1 and as -1), so
-        # |S_i| + |S_j| - |S_i & S_j| exceeds n and n00 comes out negative
-        bad = (frozenset({0}), frozenset({-1, 1}))
-        tc = ThetaClasses(n=2, classes=(((0, 1),), ((0, 1),)), sides=(bad, bad))
+        # the side matrix is wider than n, so side 1 of both classes holds
+        # three vertices of a 2-vertex graph, |S_i| + |S_j| - |S_i & S_j|
+        # exceeds n and n00 comes out negative
+        bad = np.array([[False, True, True, True]] * 2)
+        tc = ThetaClasses(n=2, classes=(((0, 1),), ((0, 1),)), sides=bad)
         with pytest.raises(IntegralityError):
             pair_counts(tc)
 
@@ -221,6 +235,7 @@ class TestIsPartialCube:
         res = is_partial_cube(g, d, tc)
         assert res.is_partial_cube
         assert len(res.coordinates[0]) == 3
+        assert np.array_equal(res.coordinates, tc.sides.T)
 
     def test_c5_non_bipartite(self):
         g = cycle(5)
@@ -255,18 +270,16 @@ class TestIsPartialCube:
             assert is_partial_cube(g, d, tc).is_partial_cube
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    crossings = sum(
-                        1 for s0, s1 in tc.sides if (u in s0) != (v in s0)
-                    )
+                    crossings = sum(1 for row in tc.sides if row[u] != row[v])
                     assert crossings == d(u, v)
 
     def test_every_class_edge_crosses_its_sides(self):
         for g in [grid(3, 3), hypercube(4), cycle(8)]:
             d, tc = analyzed(g)
             assert is_partial_cube(g, d, tc).is_partial_cube
-            for cls, (s0, s1) in zip(tc.classes, tc.sides):
+            for cls, row in zip(tc.classes, tc.sides):
                 for u, v in cls:
-                    assert (u in s0) != (v in s0)
+                    assert row[u] != row[v]
 
 
 class TestCountMedians:
