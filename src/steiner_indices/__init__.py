@@ -1,7 +1,7 @@
 """Steiner k-Wiener and k-hyper-Wiener indices of connected graphs.
 
 Exact brute-force oracles, Hosoya-polynomial identities, modular-graph
-distance formulas, and a Theta-class cut method for median partial cubes.
+distance formulas, and a Theta-class cut method for partial cubes and trees.
 """
 
 from .errors import (
@@ -22,7 +22,6 @@ from .graph import (
 )
 from .theta import (
     GraphClassification,
-    PairCountTable,
     PartialCubeResult,
     ThetaClasses,
     count_medians,
@@ -43,15 +42,7 @@ from .steiner import (
     steiner_hosoya,
     steiner_k_indices_brute,
 )
-from .cutmethod import (
-    CutReport,
-    cut_report,
-    sw3_cut,
-    sww3_cut,
-    wiener_cut,
-    wwbar_cut,
-    wwhat_cut,
-)
+from .cutmethod import cut_report, sww3_cut
 from .generators import (
     GeneratorDescriptor,
     complete_formulas,
@@ -77,7 +68,6 @@ __all__ = [
     "hyper_wiener",
     "parse_edge_list",
     "GraphClassification",
-    "PairCountTable",
     "PartialCubeResult",
     "ThetaClasses",
     "count_medians",
@@ -95,13 +85,8 @@ __all__ = [
     "steiner_distance",
     "steiner_hosoya",
     "steiner_k_indices_brute",
-    "CutReport",
     "cut_report",
-    "sw3_cut",
     "sww3_cut",
-    "wiener_cut",
-    "wwbar_cut",
-    "wwhat_cut",
     "GeneratorDescriptor",
     "complete_formulas",
     "family_classification",

@@ -190,7 +190,7 @@ def _brute_value(an, index, k, guard):
             raise IntegralityError(f"hyper-Wiener index {ww} is not an integer")
         return int(ww)
     if index == "hosoya":
-        return steiner_hosoya(an.g, an.d, k)
+        return steiner_hosoya(an.g, an.d, k, guard)
     sw, sww = steiner_k_indices_brute(an.g, an.d, k, guard=guard)
     return sw if index == "sw" else sww
 
@@ -199,8 +199,8 @@ def _compute_value(an, index, k, method, guard):
     """Returns (value, method_tag). Raises PreconditionError when an explicitly
     requested method is inapplicable."""
     from .errors import PreconditionError, not_modular_error
-    from .cutmethod import sw3_cut, sww3_cut, wiener_cut, wwbar_cut
-    from .steiner import exact_div, modular_indices_3
+    from .cutmethod import check_exact, cut_report
+    from .steiner import modular_indices_3
 
     if method == "brute":
         tag = "hosoya" if index == "hosoya" else "brute"
@@ -213,44 +213,29 @@ def _compute_value(an, index, k, method, guard):
         if method == "formula":
             raise PreconditionError(f"no closed formula applies to this input for index {index}, k={k}")
 
-    if index in ("w", "ww"):
-        if method in ("auto", "cut"):
-            try:
-                cls = an.classification
-            except PreconditionError:
-                cls = None
-            if cls is not None and cls.partial_cube:
-                tc, pc = an.theta, an.pairs
-                w = wiener_cut(tc)
-                if index == "w":
-                    return w, "cut"
-                return exact_div(w + wwbar_cut(tc, pc), 2), "cut"
-            if method == "cut":
-                raise PreconditionError("graph is not a verified partial cube")
-        if method in ("modular", "hosoya"):
-            raise PreconditionError(f"method {method} does not apply to index {index}")
-        return _brute_value(an, index, k, guard), "brute"
-
     if index == "hosoya":
+        if method != "auto":
+            raise PreconditionError(f"method {method} does not apply to index hosoya")
         return _brute_value(an, index, k, guard), "hosoya"
 
-    # sw / sww
-    if method in ("auto", "cut") and k == 3:
+    if method in ("auto", "cut"):
+        # W and WW are SW_2 and SWW_2
+        k_cut = 2 if index in ("w", "ww") else k
         try:
             cls = an.classification
+            check_exact(an.g.n, an.g.size, k_cut, cls)
         except PreconditionError:
-            cls = None
-        if cls is not None and cls.partial_cube and cls.modular:
-            tc = an.theta
-            if index == "sw":
-                return sw3_cut(tc, an.g.n, cls), "cut"
-            return sww3_cut(tc, an.pairs, an.g.n, cls), "cut"
-        if method == "cut":
-            if cls is not None and cls.partial_cube and not cls.modular:
-                raise not_modular_error(cls.witness)
-            raise PreconditionError("graph is not a verified modular partial cube")
-    if method == "cut":
-        raise PreconditionError("cut method exists only for k = 3")
+            if method == "cut":
+                raise
+        else:
+            sw, sww = cut_report(an.theta, an.pairs, k_cut, cls)
+            return (sw if index in ("w", "sw") else sww), "cut"
+
+    if index in ("w", "ww"):
+        if method == "modular":
+            raise PreconditionError(f"method modular does not apply to index {index}")
+        return _brute_value(an, index, k, guard), "brute"
+
     if method in ("auto", "modular") and k == 3:
         cls = an.classification
         if cls.modular:
@@ -334,15 +319,13 @@ def run_classify(args):
 
 
 def run_bench(args):
-    from .errors import PreconditionError
-    from .cutmethod import sww3_cut
+    from .cutmethod import check_exact, sww3_cut
     from .steiner import steiner_k_indices_brute
 
     g, desc, label = load_graph(args)
     an = Analysis(g, desc)
     cls = an.classification
-    if not (cls.partial_cube and cls.modular):
-        raise PreconditionError("bench requires a modular partial cube")
+    check_exact(g.n, g.size, 3, cls)
     report = {"graph": label, "n": g.n, "edges": g.size}
 
     start = time.perf_counter()

@@ -97,8 +97,8 @@ class SteinerHosoya:
         return sorted(self.coeffs.items())
 
 
-def _check_k(g, k):
-    if not 1 <= k <= min(g.n, K_MAX):
+def check_k(n, k):
+    if not 1 <= k <= min(n, K_MAX):
         raise PreconditionError(f"k must satisfy 1 <= k <= min(n, {K_MAX}), got {k}")
 
 
@@ -132,12 +132,19 @@ def _triple_histogram(d):
     return hist
 
 
-def steiner_hosoya(g, d, k):
+def steiner_hosoya(g, d, k, guard=None):
     """Tally Steiner distances over all C(n, k) subsets.
 
     k = 3 runs in one vectorized kernel; other k enumerate the subsets.
+    ``guard`` caps the number of subsets.
     """
-    _check_k(g, k)
+    check_k(g.n, k)
+    count = comb(g.n, k)
+    if guard is not None and count > guard:
+        raise PreconditionError(
+            f"C({g.n},{k}) = {count} subsets exceeds the enumeration guard {guard}; "
+            "use the cut method, a modular formula, or raise the guard"
+        )
     if k == 3:
         hist = _triple_histogram(d).tolist()
         return SteinerHosoya(k=3, coeffs={m: c for m, c in enumerate(hist) if c})
@@ -165,14 +172,7 @@ def steiner_k_indices_brute(g, d, k, guard=None):
 
     ``guard`` caps the number of enumerated subsets.
     """
-    _check_k(g, k)
-    count = comb(g.n, k)
-    if guard is not None and count > guard:
-        raise PreconditionError(
-            f"C({g.n},{k}) = {count} subsets exceeds the enumeration guard {guard}; "
-            "use the cut method, a modular formula, or raise the guard"
-        )
-    return indices_from_hosoya(steiner_hosoya(g, d, k))
+    return indices_from_hosoya(steiner_hosoya(g, d, k, guard))
 
 
 def modular_indices_3(d, m, classification):

@@ -215,50 +215,39 @@ def theta_classes(g, d=None, method="pairwise"):
     return ThetaClasses(n=g.n, classes=classes, sides=_attach_sides(g, classes))
 
 
-class PairCountTable:
-    """Quadrant cardinalities n_ij^kl for every unordered pair of classes.
-
-    get(i, j) returns (n00, n01, n10, n11): how many vertices lie in
-    side_k of class i and side_l of class j.
-    """
-
-    def __init__(self, n, n11, side1_sizes):
-        self._n = n
-        self._n11 = n11
-        self._s1 = side1_sizes
-
-    def get(self, i, j):
-        n11 = int(self._n11[i, j])
-        n10 = self._s1[i] - n11
-        n01 = self._s1[j] - n11
-        n00 = self._n - n11 - n10 - n01
-        return n00, n01, n10, n11
-
-    def pairs(self):
-        d = len(self._s1)
-        for i in range(d):
-            for j in range(i + 1, d):
-                yield (i, j), self.get(i, j)
+_GRAM_BLOCK = 1 << 18  # Gram entries formed per step of pair_counts
 
 
 def pair_counts(tc):
-    """Intersection counts of all side pairs, via one Gram matrix X X^T.
+    """Histogram of the quadrant sizes of all class pairs i < j.
 
-    X is the side matrix in float64 so the product runs through BLAS; every
-    entry is at most n < 2^53, so the Gram is exact.
+    ``hist[v]`` counts the (pair, quadrant) combinations whose quadrant
+    n_ij^00, n_ij^01, n_ij^10 or n_ij^11 holds exactly v vertices, so
+    ``hist.sum() == 4 * C(d, 2)``. The n_ij^11 come from the Gram X X^T of the
+    side matrix X, formed in blocks of rows so that memory stays near d * n;
+    X is float64 so the product runs through BLAS, and every entry is at most
+    n < 2^53, so the Gram is exact.
     """
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
     member = tc.sides.astype(np.float64)
-    n11 = (member @ member.T).astype(np.int64)
     s1 = tc.sides.sum(axis=1)
-    n10 = s1[:, None] - n11
-    n01 = s1[None, :] - n11
-    n00 = n - n11 - n10 - n01
-    if (np.minimum(np.minimum(n00, n01), np.minimum(n10, n11)) < 0).any():
-        raise IntegralityError("negative quadrant count: side partitions are inconsistent")
-    return PairCountTable(n, n11, s1.tolist())
+    d = s1.size
+    hist = np.zeros(n + 1, dtype=np.int64)
+    rows = max(1, _GRAM_BLOCK // max(d, 1))
+    for lo in range(0, d, rows):
+        hi = min(lo + rows, d)
+        n11 = (member[lo:hi] @ member.T).astype(np.int64)
+        n10 = s1[lo:hi, None] - n11
+        n01 = s1[None, :] - n11
+        n00 = n - n11 - n10 - n01
+        if (np.minimum(np.minimum(n00, n01), np.minimum(n10, n11)) < 0).any():
+            raise IntegralityError("negative quadrant count: side partitions are inconsistent")
+        upper = np.arange(d) > np.arange(lo, hi)[:, None]  # j > i
+        for quadrant in (n00, n01, n10, n11):
+            hist += np.bincount(quadrant[upper], minlength=n + 1)
+    return hist
 
 
 def is_bipartite(g):

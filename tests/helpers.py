@@ -2,6 +2,9 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
+
+import numpy as np
 
 from steiner_indices import (
     Graph,
@@ -13,6 +16,7 @@ from steiner_indices import (
     steiner_distance,
 )
 from steiner_indices.graph import is_connected
+from steiner_indices.steiner import exact_div
 
 
 def path(n):
@@ -231,3 +235,93 @@ def _induced_connected(edge_set, verts):
                 seen.add(v)
                 stack.append(v)
     return seen == verts
+
+
+# The paper's per-class and per-pair cut contributions. f1 and f2 read the side
+# sizes (n0, n1) of one Theta-class, g1 and g2 the quadrant sizes
+# (n00, n01, n10, n11) of one class pair.
+
+
+def paper_f1(n0, n1):
+    return n0 * n1
+
+
+def paper_f2(n0, n1):
+    return n0 * n1 * (n1 - 1) + n1 * n0 * (n0 - 1)
+
+
+def paper_g1(n00, n01, n10, n11):
+    return n00 * n11 + n01 * n10
+
+
+def paper_g2(n00, n01, n10, n11):
+    return (
+        3 * n00 * n01 * n10
+        + 3 * n00 * n01 * n11
+        + 3 * n00 * n10 * n11
+        + 3 * n01 * n10 * n11
+        + n00 * n11 * (n11 - 1)
+        + n01 * n10 * (n10 - 1)
+        + n10 * n01 * (n01 - 1)
+        + n11 * n00 * (n00 - 1)
+    )
+
+
+def quadrants(tc, i, j):
+    """(n00, n01, n10, n11) of classes i and j, counted from their side rows."""
+    si, sj = tc.sides[i], tc.sides[j]
+    return tuple(
+        int(np.count_nonzero((si == a) & (sj == b))) for a in (False, True) for b in (False, True)
+    )
+
+
+def quadrant_histogram(tc):
+    """Quadrant sizes of all class pairs i < j, tallied one pair at a time;
+    the oracle for theta.pair_counts."""
+    hist = np.zeros(tc.n + 1, dtype=np.int64)
+    for i, j in combinations(range(tc.class_count), 2):
+        for size in quadrants(tc, i, j):
+            hist[size] += 1
+    return hist
+
+
+def paper_cut_sums(tc):
+    """The paper's aggregate sums (S1, S2, S3, S4): f1 and f2 over classes,
+    g1 and g2 over class pairs."""
+    s1 = sum(paper_f1(n0, n1) for n0, n1 in tc.side_counts)
+    s2 = sum(paper_f2(n0, n1) for n0, n1 in tc.side_counts)
+    pairs = [quadrants(tc, i, j) for i, j in combinations(range(tc.class_count), 2)]
+    s3 = sum(paper_g1(*q) for q in pairs)
+    s4 = sum(paper_g2(*q) for q in pairs)
+    return s1, s2, s3, s4
+
+
+def paper_moments(tc):
+    """(W, sum of squared distances, ordered cross moment) of a partial cube."""
+    s1, s2, s3, s4 = paper_cut_sums(tc)
+    return s1, s1 + 2 * s3, s2 + 2 * s4
+
+
+def paper_sw3_sww3(tc):
+    """(SW_3, SWW_3) of a modular partial cube by the paper's cut formulas:
+    SW_3 = (n-2)/2 S1 and SWW_3 = (3n-6)/8 S1 + (n-2)/4 S3 + S2/8 + S4/4."""
+    n = tc.n
+    s1, s2, s3, s4 = paper_cut_sums(tc)
+    sw3 = exact_div((n - 2) * s1, 2)
+    return sw3, exact_div((3 * n - 6) * s1 + 2 * (n - 2) * s3 + s2 + 2 * s4, 8)
+
+
+def split_count_sums(tc, k):
+    """Sums of c(S) and C(c(S) + 1, 2) over all k-subsets S, with c(S) the
+    number of Theta-classes whose sides both meet S, one subset at a time.
+
+    A Steiner tree crosses every class that splits S, so these are lower
+    bounds of SW_k and SWW_k, and equal them wherever d(S) = c(S).
+    """
+    sw = sww = 0
+    for s in combinations(range(tc.n), k):
+        split = tc.sides[:, list(s)]
+        c = int(np.count_nonzero(split.any(axis=1) & ~split.all(axis=1)))
+        sw += c
+        sww += comb(c + 1, 2)
+    return sw, sww

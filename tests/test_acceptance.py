@@ -24,7 +24,10 @@ from helpers import (
     grid,
     hypercube,
     naive_sum_cross,
+    paper_moments,
+    paper_sw3_sww3,
     path,
+    quadrant_histogram,
     small_corpus,
     tree_corpus,
 )
@@ -33,6 +36,7 @@ from steiner_indices import (
     all_pairs_distances,
     complete_formulas,
     count_medians,
+    cut_report,
     distance_moments,
     family_classification,
     generate,
@@ -48,12 +52,8 @@ from steiner_indices import (
     steiner_distance,
     steiner_hosoya,
     steiner_k_indices_brute,
-    sw3_cut,
     sww3_cut,
     theta_classes,
-    wiener_cut,
-    wwbar_cut,
-    wwhat_cut,
 )
 
 
@@ -65,6 +65,7 @@ def _accept(name, detail=""):
 def _cut_pipeline(g, d):
     tc = theta_classes(g, d)
     pc = pair_counts(tc)
+    assert (pc == quadrant_histogram(tc)).all()
     return tc, pc
 
 
@@ -101,8 +102,10 @@ def test_criterion_2_grid_formulas():
             sw_b, sww_b = steiner_k_indices_brute(g, d, 3)
             tc, pc = _cut_pipeline(g, d)
             cls = median_classification(g, d)
-            assert grid_sw3(m, n) == sw_b == sw3_cut(tc, g.n, cls)
-            assert sww_b == sww3_cut(tc, pc, g.n, cls)
+            sw_c, sww_c = cut_report(tc, pc, 3, cls)
+            assert grid_sw3(m, n) == sw_b == sw_c
+            assert sww_b == sww_c == sww3_cut(tc, pc, g.n, cls)
+            assert (sw_c, sww_c) == paper_sw3_sww3(tc)
             if (m, n) != (2, 2):  # the 2 x 2 strip is outside the formula
                 assert grid_sww3(m, n) == sww_b
             checked += 1
@@ -112,7 +115,8 @@ def test_criterion_2_grid_formulas():
 
 
 def test_criterion_3_cut_oracle_equivalence():
-    """Cut-method W, moments, SW_3, SWW_3 equal matrix/brute values."""
+    """Cut-method W, WW, SW_3, SWW_3 and the paper's cut moments equal
+    matrix/brute values."""
     start = time.perf_counter()
     corpus = [grid(m, n) for m in range(2, 6) for n in range(2, 6)]
     corpus += [hypercube(k) for k in (2, 3, 4)]
@@ -122,12 +126,13 @@ def test_criterion_3_cut_oracle_equivalence():
         mom = distance_moments(d)
         tc, pc = _cut_pipeline(g, d)
         cls = median_classification(g, d)
-        assert wiener_cut(tc) == mom.wiener
-        assert wwbar_cut(tc, pc) == mom.sum_sq
+        w, sum_sq, sum_cross = paper_moments(tc)
+        assert (w, sum_sq) == (mom.wiener, mom.sum_sq)
+        assert cut_report(tc, pc, 2, cls) == (mom.wiener, hyper_wiener(mom))
         if g.n >= 3:
-            assert wwhat_cut(tc, pc) == mom.sum_cross
-            got = (sw3_cut(tc, g.n, cls), sww3_cut(tc, pc, g.n, cls))
-            assert got == steiner_k_indices_brute(g, d, 3)
+            assert sum_cross == mom.sum_cross
+            got = cut_report(tc, pc, 3, cls)
+            assert got == steiner_k_indices_brute(g, d, 3) == paper_sw3_sww3(tc)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     _accept("cut-oracle-equivalence", f"{len(corpus)} graphs in {elapsed:.2f}s")

@@ -153,6 +153,47 @@ class TestCompute:
         assert code == 2
         assert "guard" in err
 
+    def test_guard_blocks_large_hosoya(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "--gen", "cycle:400", "--index", "hosoya", "--k", "5"
+        )
+        assert code == 2
+        assert "guard" in err
+
+    @pytest.mark.parametrize("method", ["cut", "modular"])
+    def test_hosoya_refuses_other_methods(self, capsys, method):
+        code, out, err = run(
+            capsys, "compute", "--gen", "path:4", "--index", "hosoya", "--method", method
+        )
+        assert code == 2
+        assert out == ""
+        assert f"method {method} does not apply to index hosoya" in err
+
+    def test_cut_at_k4_on_a_tree_equals_brute(self, capsys):
+        values = {}
+        for method in ("cut", "brute"):
+            code, out, _ = run(
+                capsys, "compute", "--gen", "tree:3,12", "--index", "sww", "--k", "4",
+                "--method", method,
+            )
+            assert code == 0
+            assert f"method = {method}" in out
+            values[method] = [line for line in out.splitlines() if line.startswith("sww4 = ")]
+        assert values["cut"] == values["brute"] != []
+
+    def test_cut_at_k4_off_trees_is_refused(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "--gen", "grid:3,3", "--index", "sw", "--k", "4", "--method", "cut"
+        )
+        assert code == 2
+        assert "exact at k = 4 only on trees" in err
+
+    def test_partial_cube_sw2_uses_cut(self, capsys):
+        code, out, _ = run(capsys, "compute", "--gen", "cycle:6", "--index", "sww", "--k", "2")
+        assert code == 0
+        assert "sww2 = 42" in out
+        assert "method = cut" in out
+
     def test_formula_method_unavailable(self, capsys):
         code, _, err = run(
             capsys, "compute", "--gen", "cycle:6", "--index", "sw", "--method", "formula"
@@ -211,7 +252,7 @@ class TestBench:
     def test_refuses_non_modular(self, capsys):
         code, _, err = run(capsys, "bench", "--gen", "cycle:6")
         assert code == 2
-        assert "modular" in err
+        assert "graph is not modular (witness triple 0,2,4)" in err
 
     def test_guard_skips_brute(self, capsys):
         code, out, _ = run(capsys, "bench", "--gen", "grid:20,20", "--max-brute", "1000")

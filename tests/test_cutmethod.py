@@ -1,31 +1,39 @@
-"""Cut (Theta-class) formulas for distance moments, SW_3, and SWW_3."""
+"""Cut (Theta-class) evaluation of SW_k and SWW_k against brute force and the
+paper's per-pair formulas."""
 
 import pytest
 
 from helpers import (
+    classification_corpus,
     complete,
     complete_bipartite,
     cycle,
     grid,
     hypercube,
+    paper_cut_sums,
+    paper_f1,
+    paper_moments,
+    paper_sw3_sww3,
     path,
     prism,
+    quadrant_histogram,
+    quadrants,
+    split_count_sums,
+    tree,
     tree_corpus,
 )
 from steiner_indices import (
     PreconditionError,
     all_pairs_distances,
     cut_report,
+    cutmethod,
     distance_moments,
+    hyper_wiener,
     median_classification,
     pair_counts,
     steiner_k_indices_brute,
-    sw3_cut,
     sww3_cut,
     theta_classes,
-    wiener_cut,
-    wwbar_cut,
-    wwhat_cut,
 )
 
 
@@ -39,33 +47,26 @@ class TestAnchors:
     def test_p4_components(self):
         g = path(4)
         d, tc, pc, cls = cut_setup(g)
-        rep = cut_report(tc, pc)
-        assert rep.s1 == 10  # W
-        assert rep.s2 == 20
-        assert rep.s3 == 5
-        assert rep.s4 == 22
-        assert wiener_cut(tc) == 10
-        assert wwbar_cut(tc, pc) == 20
-        assert wwhat_cut(tc, pc) == 64
-        assert sw3_cut(tc, g.n, cls) == 10
+        assert paper_cut_sums(tc) == (10, 20, 5, 22)
+        assert paper_moments(tc) == (10, 20, 64)
+        assert cut_report(tc, pc, 2, cls) == (10, 15)  # W, WW
+        assert cut_report(tc, pc, 3, cls) == (10, 18)
         assert sww3_cut(tc, pc, g.n, cls) == 18
 
     def test_c4(self):
         g = cycle(4)
         d, tc, pc, cls = cut_setup(g)
-        assert wiener_cut(tc) == 8
-        assert wwbar_cut(tc, pc) == 12
-        assert wwhat_cut(tc, pc) == 40
-        assert sw3_cut(tc, g.n, cls) == 8
+        assert paper_moments(tc) == (8, 12, 40)
+        assert cut_report(tc, pc, 2, cls) == (8, 10)
+        assert cut_report(tc, pc, 3, cls) == (8, 12)
         assert sww3_cut(tc, pc, g.n, cls) == 12
 
     def test_grid_2x3(self):
         g = grid(2, 3)
         d, tc, pc, cls = cut_setup(g)
-        assert wiener_cut(tc) == 25
-        assert wwbar_cut(tc, pc) == 49
-        assert wwhat_cut(tc, pc) == 324
-        assert sw3_cut(tc, g.n, cls) == 50
+        assert paper_moments(tc) == (25, 49, 324)
+        assert cut_report(tc, pc, 2, cls) == (25, 37)
+        assert cut_report(tc, pc, 3, cls) == (50, 90)
         assert sww3_cut(tc, pc, g.n, cls) == 90
 
 
@@ -75,15 +76,22 @@ class TestRefusals:
         d = all_pairs_distances(g)
         tc = theta_classes(g, d)
         assert tc.sides is None
+        with pytest.raises(PreconditionError, match="side partitions"):
+            pair_counts(tc)
         with pytest.raises(PreconditionError, match="partial cube"):
-            wiener_cut(tc)
+            cut_report(tc, None, 2, median_classification(g, d))
+        # a classification that wrongly claims a partial cube still meets the
+        # missing sides
+        with pytest.raises(PreconditionError, match="partial-cube"):
+            cut_report(tc, None, 2, median_classification(path(3)))
 
     def test_steiner_formulas_refuse_non_modular(self):
         g = cycle(6)  # partial cube but not modular
         d, tc, pc, cls = cut_setup(g)
-        assert wiener_cut(tc) == distance_moments(d).wiener
+        mom = distance_moments(d)
+        assert cut_report(tc, pc, 2, cls) == (mom.wiener, hyper_wiener(mom))
         with pytest.raises(PreconditionError, match="not modular") as exc:
-            sw3_cut(tc, g.n, cls)
+            cut_report(tc, pc, 3, cls)
         assert "witness triple 0,2,4" in str(exc.value)
         with pytest.raises(PreconditionError, match="not modular"):
             sww3_cut(tc, pc, g.n, cls)
@@ -94,8 +102,24 @@ class TestRefusals:
         tc = theta_classes(g, d)
         cls = median_classification(g, d)
         assert cls.modular and not cls.partial_cube
-        with pytest.raises(PreconditionError, match="partial cube"):
-            sw3_cut(tc, g.n, cls)
+        for k in (2, 3):
+            with pytest.raises(PreconditionError, match="partial cube"):
+                cut_report(tc, None, k, cls)
+
+    def test_k_above_3_only_on_trees(self):
+        g = grid(3, 3)
+        d, tc, pc, cls = cut_setup(g)
+        with pytest.raises(PreconditionError, match="only on trees"):
+            cut_report(tc, pc, 4, cls)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_brute_range(self, k):
+        g = path(3)
+        d, tc, pc, cls = cut_setup(g)
+        with pytest.raises(PreconditionError, match="k must satisfy"):
+            cut_report(tc, pc, k, cls)
+        with pytest.raises(PreconditionError, match="k must satisfy"):
+            steiner_k_indices_brute(g, d, k)
 
 
 def _grid_cut_split(g, tc, m, n):
@@ -115,38 +139,33 @@ class TestGridClassSums:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_f_sums_split_by_orientation(self, m, n):
         g = grid(m, n)
-        d = all_pairs_distances(g)
-        tc = theta_classes(g, d)
-        rep = cut_report(tc, pair_counts(tc))
+        d, tc, pc, cls = cut_setup(g)
+        f1 = [paper_f1(n0, n1) for n0, n1 in tc.side_counts]
         col, row = _grid_cut_split(g, tc, m, n)
         # column cut j has sides of size m(j+1) and m(n-j-1)
-        col_f1 = sum(rep.f1[c] for c in col)
+        col_f1 = sum(f1[c] for c in col)
         assert col_f1 == (m * m * n**3 - m * m * n) // 6
-        row_f1 = sum(rep.f1[r] for r in row)
+        row_f1 = sum(f1[r] for r in row)
         assert row_f1 == (n * n * m**3 - n * n * m) // 6
-        assert rep.s1 == col_f1 + row_f1 == distance_moments(d).wiener
+        assert cut_report(tc, pc, 2, cls)[0] == col_f1 + row_f1 == distance_moments(d).wiener
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 4), (4, 5)])
     def test_pair_sums_match_quadrant_definitions(self, m, n):
         g = grid(m, n)
         tc = theta_classes(g)
-        pc = pair_counts(tc)
-        rep = cut_report(tc, pc)
         col, row = _grid_cut_split(g, tc, m, n)
         # parallel cuts never separate the same pair twice in opposite order:
         # for two column cuts the mixed quadrants n01 or n10 vanish
         for a in col:
             for b in col:
                 if a < b:
-                    counts = pc.get(a, b)
-                    assert 0 in counts
+                    assert 0 in quadrants(tc, a, b)
         # a column and a row cut always give four non-empty quadrants
         for a in col:
             for b in row:
                 i, j = min(a, b), max(a, b)
-                assert all(q > 0 for q in pc.get(i, j))
-        assert rep.s3 == sum(rep.g1.values())
-        assert rep.s4 == sum(rep.g2.values())
+                assert all(q > 0 for q in quadrants(tc, i, j))
+        assert (pair_counts(tc) == quadrant_histogram(tc)).all()
 
 
 class TestMomentIdentities:
@@ -160,23 +179,17 @@ class TestMomentIdentities:
     ])
     def test_cut_moments_equal_matrix_moments(self, builder):
         g = builder()
-        d = all_pairs_distances(g)
-        tc = theta_classes(g, d)
-        pc = pair_counts(tc)
+        d, tc, pc, cls = cut_setup(g)
         mom = distance_moments(d)
-        assert wiener_cut(tc) == mom.wiener
-        assert wwbar_cut(tc, pc) == mom.sum_sq
-        assert wwhat_cut(tc, pc) == mom.sum_cross
+        assert paper_moments(tc) == (mom.wiener, mom.sum_sq, mom.sum_cross)
+        assert cut_report(tc, pc, 2, cls) == (mom.wiener, hyper_wiener(mom))
 
     def test_cut_moments_on_tree_corpus(self):
         for g in tree_corpus(count=25):
-            d = all_pairs_distances(g)
-            tc = theta_classes(g, d)
-            pc = pair_counts(tc)
+            d, tc, pc, cls = cut_setup(g)
             mom = distance_moments(d)
-            assert wiener_cut(tc) == mom.wiener
-            assert wwbar_cut(tc, pc) == mom.sum_sq
-            assert wwhat_cut(tc, pc) == mom.sum_cross
+            assert paper_moments(tc) == (mom.wiener, mom.sum_sq, mom.sum_cross)
+            assert cut_report(tc, pc, 2, cls) == (mom.wiener, hyper_wiener(mom))
 
 
 class TestSteinerViaCuts:
@@ -187,18 +200,78 @@ class TestSteinerViaCuts:
         for g in graphs:
             if g.n < 3:
                 continue
-            d = all_pairs_distances(g)
-            tc = theta_classes(g, d)
-            pc = pair_counts(tc)
-            cls = median_classification(g, d)
-            got = (sw3_cut(tc, g.n, cls), sww3_cut(tc, pc, g.n, cls))
-            assert got == steiner_k_indices_brute(g, d, 3)
+            d, tc, pc, cls = cut_setup(g)
+            got = cut_report(tc, pc, 3, cls)
+            assert got == steiner_k_indices_brute(g, d, 3) == paper_sw3_sww3(tc)
 
     def test_monotone_in_grid_width(self):
         prev = (0, 0)
         for n in range(2, 7):
             g = grid(3, n)
             d, tc, pc, cls = cut_setup(g)
-            cur = (sw3_cut(tc, g.n, cls), sww3_cut(tc, pc, g.n, cls))
+            cur = cut_report(tc, pc, 3, cls)
             assert cur > prev
             prev = cur
+
+
+class TestDifferential:
+    """cut_report against brute force, the paper's formulas, and the
+    per-subset split counts, in every case where it is exact."""
+
+    def test_trees_and_paths_every_k(self):
+        for g in tree_corpus() + [path(n) for n in range(1, 10)]:
+            d, tc, pc, cls = cut_setup(g)
+            for k in range(1, min(5, g.n) + 1):
+                want = steiner_k_indices_brute(g, d, k)
+                assert cut_report(tc, pc, k, cls) == want == split_count_sums(tc, k)
+
+    def test_partial_cubes_k_up_to_2(self):
+        checked = 0
+        for g in classification_corpus():
+            d = all_pairs_distances(g)
+            cls = median_classification(g, d)
+            if not cls.partial_cube:
+                continue
+            tc = theta_classes(g, d)
+            pc = pair_counts(tc)
+            assert (pc == quadrant_histogram(tc)).all()
+            w, sum_sq, _ = paper_moments(tc)
+            assert cut_report(tc, pc, 1, cls) == (0, 0) == steiner_k_indices_brute(g, d, 1)
+            sw2, sww2 = cut_report(tc, pc, 2, cls)
+            assert (sw2, sww2) == steiner_k_indices_brute(g, d, 2)
+            assert (sw2, 2 * sww2) == (w, w + sum_sq)
+            checked += not cls.modular
+        assert checked > 0  # non-modular partial cubes such as C6 are among them
+
+    def test_modular_partial_cubes_k3(self):
+        checked = 0
+        for g in classification_corpus():
+            d = all_pairs_distances(g)
+            cls = median_classification(g, d)
+            if not (cls.partial_cube and cls.modular) or g.n < 3:
+                continue
+            tc = theta_classes(g, d)
+            got = cut_report(tc, pair_counts(tc), 3, cls)
+            assert got == steiner_k_indices_brute(g, d, 3) == paper_sw3_sww3(tc)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("g,k,sums,true_sw", [
+        (grid(3, 3), 4, (444, 1024), 494),
+        (cycle(6), 3, (54, 102), 56),
+    ])
+    def test_inexact_sums_are_lower_bounds_and_refused(self, monkeypatch, g, k, sums, true_sw):
+        d, tc, pc, cls = cut_setup(g)
+        brute = steiner_k_indices_brute(g, d, k)
+        assert brute[0] == true_sw
+        with pytest.raises(PreconditionError):
+            cut_report(tc, pc, k, cls)
+        monkeypatch.setattr(cutmethod, "check_exact", lambda *args: None)
+        raw = cut_report(tc, pc, k, cls)
+        assert raw == sums == split_count_sums(tc, k)
+        assert raw[0] < brute[0] and raw[1] < brute[1]
+
+    def test_tree_k4_equals_brute(self):
+        g = tree(3, 12)
+        d, tc, pc, cls = cut_setup(g)
+        assert cut_report(tc, pc, 4, cls) == steiner_k_indices_brute(g, d, 4)

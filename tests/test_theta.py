@@ -1,6 +1,7 @@
 """Theta relation, Theta*-classes, side structure, and classification."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from helpers import (
     induced_subgraph,
     path,
     prism,
+    quadrant_histogram,
+    quadrants,
     small_corpus,
     star,
     tree,
@@ -175,8 +178,8 @@ class TestPairCounts:
     def test_c4_quadrants(self):
         g = cycle(4)
         _, tc = analyzed(g)
-        pc = pair_counts(tc)
-        assert pc.get(0, 1) == (1, 1, 1, 1)
+        assert quadrants(tc, 0, 1) == (1, 1, 1, 1)
+        assert pair_counts(tc).tolist() == [0, 4, 0, 0, 0]
 
     def test_inconsistent_sides_raise(self):
         # the side matrix is wider than n, so side 1 of both classes holds
@@ -193,7 +196,6 @@ class TestPairCounts:
         m, n = 4, 5
         g = grid(m, n)
         _, tc = analyzed(g)
-        pc = pair_counts(tc)
         col = {}
         row = {}
         for ci, cls in enumerate(tc.classes):
@@ -205,7 +207,7 @@ class TestPairCounts:
         for j in range(n - 1):
             for i in range(m - 1):
                 a, b = sorted((col[j], row[i]))
-                got = sorted(pc.get(a, b))
+                got = sorted(quadrants(tc, a, b))
                 cols_left, rows_top = j + 1, i + 1
                 expect = sorted(
                     [
@@ -216,16 +218,28 @@ class TestPairCounts:
                     ]
                 )
                 assert got == expect
+        assert (pair_counts(tc) == quadrant_histogram(tc)).all()
 
     def test_marginals_reproduce_side_counts(self):
         for g in [grid(3, 4), hypercube(3), tree(1, 9)]:
             _, tc = analyzed(g)
-            pc = pair_counts(tc)
             counts = tc.side_counts
-            for (i, j), (n00, n01, n10, n11) in pc.pairs():
+            for i, j in combinations(range(tc.class_count), 2):
+                n00, n01, n10, n11 = quadrants(tc, i, j)
                 assert n00 + n01 + n10 + n11 == g.n
                 assert n00 + n01 == counts[i][0]
                 assert n10 + n11 == counts[i][1]
+            hist = pair_counts(tc)
+            pairs = comb(tc.class_count, 2)
+            assert hist.sum() == 4 * pairs
+            assert (np.arange(g.n + 1) * hist).sum() == g.n * pairs
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_row_blocks_match_the_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(theta_module, "_GRAM_BLOCK", block)
+        for g in [grid(3, 4), hypercube(4), tree(2, 11), prism(6)]:
+            _, tc = analyzed(g)
+            assert (pair_counts(tc) == quadrant_histogram(tc)).all()
 
 
 class TestIsPartialCube:
