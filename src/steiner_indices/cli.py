@@ -104,37 +104,21 @@ class Analysis:
                     f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
                     "all-pairs distances; only generated median families are supported at this size"
                 )
-            tc = self.theta  # may classify the graph on the way
-            if self._classification is None:
-                self._classification = median_classification(self.g, self.d, tc)
+            self._classification = median_classification(self.g, self.d)
         return self._classification
 
     @property
     def theta(self):
         if self._tc is None:
             from .errors import PreconditionError
-            from .generators import family_classification
-            from .theta import is_bipartite, median_classification, theta_classes
+            from .theta import theta_classes
 
-            known = family_classification(self.desc) if self.desc is not None else None
-            if known is not None and known.partial_cube:
-                # generated median family: one two-source BFS per class, no APSP needed
-                self._tc = theta_classes(self.g, method="crossing")
+            cls = self.classification
+            if cls.partial_cube:
+                # classified graphs keep the classes is_partial_cube confirmed; a
+                # generated median family is labelled by one BFS, no APSP needed
+                self._tc = cls.theta or theta_classes(self.g, method="crossing")
                 return self._tc
-            if self.g.n <= CLASSIFY_LIMIT and is_bipartite(self.g)[0]:
-                # keep the crossing partition only if it labels the graph isometrically
-                try:
-                    tc = theta_classes(self.g, method="crossing")
-                except PreconditionError:
-                    tc = None
-                if tc is not None:
-                    # a partial cube's crossing classes are its Theta*-classes, so
-                    # a failed isometry check means it is no partial cube and the
-                    # classification holds either way
-                    self._classification = median_classification(self.g, self.d, tc)
-                    if self._classification.partial_cube:
-                        self._tc = tc
-                        return tc
             if self.g.size > PAIRWISE_EDGE_LIMIT:
                 raise PreconditionError(
                     f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
@@ -294,10 +278,9 @@ def run_compute(args):
 
 
 def run_classify(args):
-    from .errors import PreconditionError
-
     g, desc, label = load_graph(args)
     an = Analysis(g, desc)
+    classes = an.theta.class_count  # refuses what the pairwise scan cannot take
     cls = an.classification
     report = {
         "graph": label,
@@ -307,11 +290,8 @@ def run_classify(args):
         "bipartite": cls.bipartite,
         "partial_cube": cls.partial_cube,
         "median_status": cls.median_status,
+        "classes": classes,
     }
-    try:
-        report["classes"] = an.theta.class_count
-    except PreconditionError:
-        report["classes"] = "unknown"
     if cls.witness is not None:
         report["witness"] = ",".join(str(v) for v in cls.witness)
     emit(report, args.format)

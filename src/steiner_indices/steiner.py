@@ -143,7 +143,7 @@ def steiner_hosoya(g, d, k, guard=None):
     if guard is not None and count > guard:
         raise PreconditionError(
             f"C({g.n},{k}) = {count} subsets exceeds the enumeration guard {guard}; "
-            "use the cut method, a modular formula, or raise the guard"
+            "--force lifts it"
         )
     if k == 3:
         hist = _triple_histogram(d).tolist()

@@ -8,13 +8,14 @@ an isometric hypercube embedding.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import IntegralityError, NotPartialCubeClassError, PreconditionError
-from .graph import all_pairs_distances, is_connected
+from .graph import all_pairs_distances, bfs_distances, is_connected
 
 
 def theta_related(d, e1, e2):
@@ -153,23 +154,79 @@ def _closer_labels(adjacency, u, v):
     return label
 
 
+_GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and the flip check
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
+
+
+def _one_bfs_labels(g, eu, ev):
+    """Theta labelling from one BFS from vertex 0, or None if some edge does
+    not flip exactly one coordinate.
+
+    A vertex's label L(v) is the OR of its BFS parents' labels; a vertex with
+    one parent also opens a new coordinate. Kept on a partial cube, L is the
+    Theta labelling. Let T(v) be the classes separating 0 from v; then
+    T(v) = T(p) + {class of pv} for each parent p. Mapping each coordinate to
+    the class of its opening edge sends L(v) one-to-one onto T(v), by
+    induction on the level. Two coordinates of one class C would split C's
+    far side (convex, so connected) into the vertices holding one or the
+    other, and an edge joining the two parts would flip both.
+    On a median graph L is kept: every halfspace is gated (Bandelt and Chepoi
+    2008), so the gate z of a class's far side H has a single parent (a class
+    is a matching), while a single-parent v in H other than z would have that
+    parent on a geodesic through z, inside H. So the openers are the gates.
+    """
+    dist = bfs_distances(g, 0)
+    down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]  # same-level edges fail the flip check
+    child = np.where(up, eu, ev)[down]
+    parent = np.where(up, ev, eu)[down][np.lexsort((child, dist[child]))]
+    order = np.argsort(dist, kind="stable")  # by level, then vertex id
+    npar = np.bincount(child, minlength=g.n)[order]
+    start = np.r_[0, np.cumsum(npar)]  # parents of order[i]: parent[start[i]:start[i + 1]]
+    opens = npar == 1
+    coord = np.cumsum(opens) - 1
+    labels = np.zeros((g.n, int(opens.sum())), dtype=bool)
+    level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
+    for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
+        rows = labels[parent[start[lo] : start[hi]]]
+        labels[order[lo:hi]] = np.logical_or.reduceat(rows, start[lo:hi] - start[lo], axis=0)
+        new = lo + np.flatnonzero(opens[lo:hi])
+        labels[order[new], coord[new]] = True
+    flips = np.empty(eu.size, dtype=np.int64)
+    step = max(1, _GRAM_BLOCK // max(labels.shape[1], 1))
+    for lo in range(0, eu.size, step):
+        x = labels[eu[lo : lo + step]] != labels[ev[lo : lo + step]]
+        if (np.count_nonzero(x, axis=1) != 1).any():
+            return None
+        flips[lo : lo + step] = x.argmax(axis=1)
+    rank = np.argsort(np.unique(flips, return_index=True)[1])  # class i is coordinate rank[i]
+    edge_class = np.argsort(rank)[flips]
+    by_class = np.argsort(edge_class, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(edge_class, minlength=rank.size)).tolist()
+    classes = tuple(tuple(g.edges[j] for j in by_class[a:b]) for a, b in zip([0] + ends, ends))
+    return classes, np.ascontiguousarray(labels.T[rank])
+
+
 def _theta_classes_crossing(g):
-    """Theta* of a bipartite partial cube via one two-source BFS per class.
+    """Theta* of a bipartite partial cube: one BFS where ``_one_bfs_labels``
+    applies (every median graph), else one two-source BFS per class (C6, C8).
 
     For a bipartite graph the edges Theta-related to uv are exactly the edges
-    crossing the {closer-to-u, closer-to-v} vertex bipartition. When these
+    crossing the {closer-to-u, closer-to-v} vertex bipartition; when these
     crossing sets tile the edge set they are the Theta*-classes (always the
-    case for partial cubes). Returns None when some vertex is equidistant
-    from the ends of a class's edge or the crossing sets overlap, in which
-    case the caller must fall back to the pairwise method.
+    case for partial cubes), opened in the order of their smallest edge.
+    Returns None when some vertex is equidistant from the ends of a class's
+    edge or the crossing sets overlap, in which case the caller must fall back
+    to the pairwise method.
     """
     m = len(g.edges)
     eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=m)
     ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=m)
+    labelled = _one_bfs_labels(g, eu, ev) if g.n else None
+    if labelled is not None:
+        return labelled
 
     assigned = np.full(m, -1, dtype=np.int64)
-    classes = []
-    sides = []
+    classes, sides = [], []
     for i in range(m):
         if assigned[i] >= 0:
             continue
@@ -184,9 +241,7 @@ def _theta_classes_crossing(g):
         assigned[idx] = len(classes)
         classes.append(tuple(g.edges[int(j)] for j in idx))
         sides.append(closer_v ^ closer_v[0])
-    order = sorted(range(len(classes)), key=lambda idx: classes[idx][0])
-    sides = np.array(sides, dtype=bool).reshape(-1, g.n)
-    return tuple(classes[idx] for idx in order), sides[order]
+    return tuple(classes), np.array(sides, dtype=bool).reshape(-1, g.n)
 
 
 def theta_classes(g, d=None, method="pairwise"):
@@ -194,8 +249,8 @@ def theta_classes(g, d=None, method="pairwise"):
 
     method="pairwise" is the general algorithm (O(|E|^2) Theta tests merged by
     union-find). method="crossing" is a fast equivalent valid for partial
-    cubes; it raises PreconditionError when its consistency checks fail rather
-    than silently returning a wrong partition.
+    cubes (one BFS on median graphs); it raises PreconditionError when its
+    consistency checks fail rather than silently returning a wrong partition.
     """
     if not is_connected(g):
         raise PreconditionError("theta_classes requires a connected graph")
@@ -205,8 +260,7 @@ def theta_classes(g, d=None, method="pairwise"):
             raise PreconditionError(
                 "crossing method inapplicable (graph is not a partial cube); use method='pairwise'"
             )
-        classes, sides = result
-        return ThetaClasses(n=g.n, classes=classes, sides=sides)
+        return ThetaClasses(g.n, *result)
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
     if d is None:
@@ -215,23 +269,22 @@ def theta_classes(g, d=None, method="pairwise"):
     return ThetaClasses(n=g.n, classes=classes, sides=_attach_sides(g, classes))
 
 
-_GRAM_BLOCK = 1 << 18  # Gram entries formed per step of pair_counts
-
-
 def pair_counts(tc):
     """Histogram of the quadrant sizes of all class pairs i < j.
 
     ``hist[v]`` counts the (pair, quadrant) combinations whose quadrant
     n_ij^00, n_ij^01, n_ij^10 or n_ij^11 holds exactly v vertices, so
     ``hist.sum() == 4 * C(d, 2)``. The n_ij^11 come from the Gram X X^T of the
-    side matrix X, formed in blocks of rows so that memory stays near d * n;
-    X is float64 so the product runs through BLAS, and every entry is at most
-    n < 2^53, so the Gram is exact.
+    side matrix X, formed in blocks of rows so that memory stays near d * n.
+    X is float32 for BLAS: every partial sum of the Gram is an integer of at
+    most n, exact below 2^24; a larger n is refused rather than rounded.
     """
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
-    member = tc.sides.astype(np.float64)
+    if n >= _FLOAT32_EXACT:
+        raise PreconditionError(f"pair_counts needs n < 2^24 for an exact float32 Gram, got n={n}")
+    member = tc.sides.astype(np.float32)
     s1 = tc.sides.sum(axis=1)
     d = s1.size
     hist = np.zeros(n + 1, dtype=np.int64)
@@ -276,21 +329,23 @@ class PartialCubeResult:
     coordinates: Optional[np.ndarray]  # (n, d) bool view sides.T: row v is the label of v
 
 
-def is_partial_cube(g, d, tc):
+def is_partial_cube(g, d, tc, bipartite=None):
     """Check the partial-cube property and produce the hypercube embedding.
 
     Verifies (a) bipartiteness, (b) every class splits G into two sides,
     (c) graph distance equals Hamming distance of the side-membership labels.
+    ``bipartite`` is the caller's ``is_bipartite`` flag, computed if not given.
     """
-    bip, _ = is_bipartite(g)
-    if not bip:
+    if not (is_bipartite(g)[0] if bipartite is None else bipartite):
         return PartialCubeResult(False, "non-bipartite", None)
     if tc.sides is None:
         return PartialCubeResult(False, "bad class", None)
     # Hamming distance of all pairs, s_u + s_v - 2 (X^T X)[u, v] with s the
-    # column sums of the side matrix X; exact in float64, every entry is at
-    # most d < 2^53
-    member = tc.sides.astype(np.float64)
+    # column sums of the side matrix X; exact in float32, every entry and
+    # partial sum is an integer of magnitude at most 2d < 2^24
+    if 2 * tc.class_count >= _FLOAT32_EXACT:
+        raise PreconditionError(f"is_partial_cube needs 2d < 2^24 for exact float32, got d={tc.class_count}")
+    member = tc.sides.astype(np.float32)
     s = member.sum(axis=0)
     hamming = member.T @ member
     hamming *= -2
@@ -317,6 +372,7 @@ class GraphClassification:
     partial_cube: bool
     median_status: str  # median | modular_not_median | not_modular
     witness: Optional[tuple]
+    theta: Optional[ThetaClasses] = field(default=None, compare=False, repr=False)  # confirmed partial-cube classes
 
     @property
     def modular(self):
@@ -405,6 +461,8 @@ def median_classification(g, d=None, tc=None):
     equidistant from u and the quadrangle condition holds at u (push a v-w
     geodesic down through the quadrangles), so the first zero-median triple
     starts at the first failing root, and at 0 when G is not bipartite.
+    A bipartite G is a partial cube iff ``tc``, by default its crossing
+    classes (which every partial cube has), labels it isometrically.
     """
     if not is_connected(g):
         raise PreconditionError("median_classification requires a connected graph")
@@ -413,9 +471,11 @@ def median_classification(g, d=None, tc=None):
     bip, _ = is_bipartite(g)
     if g.n < 3:
         return GraphClassification(True, bip, g.n >= 1, "median", None)
-    if tc is None:
-        tc = theta_classes(g, d)
-    pc = is_partial_cube(g, d, tc)
+    if tc is None and bip:
+        with suppress(PreconditionError):
+            tc = theta_classes(g, method="crossing")
+    if tc is not None and not is_partial_cube(g, d, tc, bip).is_partial_cube:
+        tc = None
 
     if not bip:
         status, root = "not_modular", 0
@@ -427,6 +487,6 @@ def median_classification(g, d=None, tc=None):
         elif (count >= 3).any():
             status, root = "modular_not_median", 0
         else:
-            return GraphClassification(True, bip, pc.is_partial_cube, "median", None)
+            return GraphClassification(True, bip, tc is not None, "median", None, tc)
     witness = _first_triple(d.a, root, status == "not_modular")
-    return GraphClassification(True, bip, pc.is_partial_cube, status, witness)
+    return GraphClassification(True, bip, tc is not None, status, witness, tc)

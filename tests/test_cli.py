@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import steiner_indices
-from steiner_indices import cli, generate, parse_descriptor
+from helpers import complete, complete_bipartite, cycle, grid
+from steiner_indices import cli, generate, grid_sww3, parse_descriptor
 from steiner_indices.cli import main
 
 
@@ -106,6 +107,31 @@ class TestCompute:
         assert code == 2
         assert "too large for the pairwise Theta scan" in err
 
+    @pytest.mark.parametrize(
+        "g", [grid(4, 4), complete(6), cycle(7), cycle(8), complete_bipartite(2, 4)],
+        ids=["grid", "K6", "C7", "C8", "K24"],
+    )
+    def test_input_is_two_coloured_once_without_pairwise_scan(self, capsys, tmp_path, monkeypatch, g):
+        from steiner_indices import theta
+
+        f = tmp_path / "g.txt"
+        f.write_text(f"{g.n} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        calls = []
+        real = theta.is_bipartite
+
+        def counted(graph):
+            calls.append(graph.n)
+            return real(graph)
+
+        def refuse(*args):
+            raise AssertionError("pairwise Theta scan ran in compute")
+
+        monkeypatch.setattr(theta, "is_bipartite", counted)
+        monkeypatch.setattr(theta, "_theta_classes_pairwise", refuse)
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0, err
+        assert calls == [g.n]
+
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]
         f = tmp_path / "k23.txt"
@@ -159,6 +185,21 @@ class TestCompute:
         )
         assert code == 2
         assert "guard" in err
+
+    def test_hosoya_guard_names_force_only(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "--gen", "cycle:400", "--index", "hosoya", "--k", "5"
+        )
+        assert code == 2
+        assert "exceeds the enumeration guard 5000000; --force lifts it" in err
+        assert "cut" not in err and "modular" not in err
+
+    def test_grid_200_cut_equals_closed_formula(self, capsys):
+        code, out, _ = run(
+            capsys, "compute", "--gen", "grid:200,200", "--index", "sww", "--method", "cut"
+        )
+        assert code == 0
+        assert f"sww3 = {grid_sww3(200, 200)}" in out
 
     @pytest.mark.parametrize("method", ["cut", "modular"])
     def test_hosoya_refuses_other_methods(self, capsys, method):

@@ -1,5 +1,6 @@
 """Theta relation, Theta*-classes, side structure, and classification."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -17,6 +18,7 @@ from helpers import (
     path,
     prism,
     quadrant_histogram,
+    random_bipartite_graph,
     quadrants,
     small_corpus,
     star,
@@ -137,6 +139,68 @@ class TestThetaClasses:
             assert d(0, tie) == d(1, tie) == (n - 1) // 2 > 1
             with pytest.raises(PreconditionError):
                 theta_classes(g, method="crossing")
+
+
+def one_bfs_labels(g):
+    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
+    ev = np.array([v for _, v in g.edges], dtype=np.int64)
+    return theta_module._one_bfs_labels(g, eu, ev)
+
+
+class TestOneBfsLabels:
+    def test_equals_pairwise_on_partial_cubes(self):
+        rng = random.Random(41)
+        graphs = classification_corpus()
+        graphs += [random_bipartite_graph(rng, rng.randrange(4, 25), rng.randrange(0, 8)) for _ in range(300)]
+        checked = 0
+        for g in graphs:
+            d = all_pairs_distances(g)
+            pairwise = theta_classes(g, d)
+            if not is_partial_cube(g, d, pairwise).is_partial_cube:
+                continue
+            labelled = one_bfs_labels(g)
+            if median_classification(g, d).median_status == "median":
+                assert labelled is not None, g.edges  # every median graph takes it
+            if labelled is None:
+                continue
+            classes, sides = labelled
+            assert classes == pairwise.classes
+            assert np.array_equal(sides, pairwise.sides)
+            assert sides.flags.c_contiguous
+            checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("g", [grid(10, 10), tree(7, 60), hypercube(6)], ids=["grid", "tree", "Q6"])
+    def test_median_graphs_take_one_bfs(self, monkeypatch, g):
+        expected = theta_classes(g, all_pairs_distances(g))
+
+        def refuse(*args):
+            raise AssertionError("per-class BFS ran on a median graph")
+
+        monkeypatch.setattr(theta_module, "_closer_labels", refuse)
+        tc = theta_classes(g, method="crossing")
+        assert tc.classes == expected.classes
+        assert np.array_equal(tc.sides, expected.sides)
+
+    def test_non_median_partial_cubes_fall_back(self):
+        # C6 and C8 have four and six single-parent vertices but three and
+        # four classes; the corpus graph is C6 with a pendant vertex 0 at 6
+        corpus_graph = classification_corpus()[27]
+        assert corpus_graph.edges == ((0, 6), (1, 2), (1, 3), (2, 4), (3, 6), (4, 5), (5, 6))
+        for g in (cycle(6), cycle(8), corpus_graph):
+            d = all_pairs_distances(g)
+            expected = theta_classes(g, d)
+            assert is_partial_cube(g, d, expected).is_partial_cube
+            assert median_classification(g, d).median_status != "median"
+            assert one_bfs_labels(g) is None
+            tc = theta_classes(g, method="crossing")
+            assert tc.classes == expected.classes
+            assert np.array_equal(tc.sides, expected.sides)
+
+    def test_single_vertex(self):
+        tc = theta_classes(complete(1), method="crossing")
+        assert tc.classes == ()
+        assert tc.sides.shape == (0, 1)
 
 
 class TestSidePartition:
@@ -348,6 +412,23 @@ class TestMedianClassification:
             if cls.median_status == "median":
                 assert cls.partial_cube
 
+    def test_partial_cube_decided_without_pairwise_scan(self, monkeypatch):
+        graphs = classification_corpus()
+        ds = [all_pairs_distances(g) for g in graphs]
+        pairwise = [theta_classes(g, d) for g, d in zip(graphs, ds)]
+        expected = [(is_partial_cube(g, d, tc).is_partial_cube, tc) for g, d, tc in zip(graphs, ds, pairwise)]
+        assert {partial for partial, _ in expected} == {True, False}
+
+        def refuse(*args):
+            raise AssertionError("pairwise Theta scan ran during classification")
+
+        monkeypatch.setattr(theta_module, "_theta_classes_pairwise", refuse)
+        for g, d, (partial, tc) in zip(graphs, ds, expected):
+            cls = median_classification(g, d)
+            assert cls.partial_cube == partial, g.edges
+            if cls.theta is not None:  # the classes that confirmed the partial cube
+                assert cls.theta.classes == tc.classes
+
     def test_trees_are_median(self):
         for s in range(8):
             assert median_classification(tree(s, 5 + s)).median_status == "median"
@@ -375,6 +456,22 @@ class TestMedianClassification:
         cls = median_classification(g, d)
         assert (cls.median_status, cls.witness) == ("not_modular", (3, 5, 6))
         assert triple_scan_classification(d) == ("not_modular", (3, 5, 6))
+
+
+def test_float32_grams_refuse_beyond_their_exact_range(monkeypatch):
+    # grid 3x3: n = 9 vertices, d = 4 classes, so 2d = 8
+    g = grid(3, 3)
+    d, tc = analyzed(g)
+    monkeypatch.setattr(theta_module, "_FLOAT32_EXACT", 10)
+    assert pair_counts(tc).sum() == 4 * comb(4, 2)
+    assert is_partial_cube(g, d, tc).is_partial_cube
+    monkeypatch.setattr(theta_module, "_FLOAT32_EXACT", 9)
+    with pytest.raises(PreconditionError, match="2\\^24"):
+        pair_counts(tc)
+    assert is_partial_cube(g, d, tc).is_partial_cube
+    monkeypatch.setattr(theta_module, "_FLOAT32_EXACT", 8)
+    with pytest.raises(PreconditionError, match="2\\^24"):
+        is_partial_cube(g, d, tc)
 
 
 def test_bipartite_detection():
