@@ -108,26 +108,27 @@ _BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
 def _triple_histogram(d):
     """Steiner distances of all vertex triples, tallied: hist[m] = #triples at m.
 
-    For each u the rows d(u,.) + d(v,.), v > u, are added to d(w,.) in blocks
-    of v, minimised over the branch vertex, and the entries with w > v are
-    counted. The sums reach 3 max d: they run in int16 while that is at most
-    32767 (every graph with diameter at most 10922), else in int32, and a
-    matrix whose sums would overflow int32 is refused rather than wrapped.
+    The branch vertex x runs along the leading axis. For each u the sums
+    d(x,u) + d(x,v), v > u, are added to d(x,w) in blocks of v, and the n
+    slabs (one per x) are minimised elementwise; the entries with w > v are
+    counted. The sums reach 3 max d and run in the narrowest signed dtype
+    that holds it (int8 to 127, int16 to 32767, else int32); a matrix whose
+    sums would overflow int32 is refused rather than wrapped.
     """
     n = d.n
     top = 3 * int(d.a.max())
     if top > np.iinfo(np.int32).max:
         raise PreconditionError(f"distances up to {top // 3} overflow the int32 triple kernel")
-    a = d.a.astype(np.int16 if top <= np.iinfo(np.int16).max else np.int32)
+    a = d.a.astype(next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max))
     hist = np.zeros(top + 1, dtype=np.int64)
     for u in range(n - 2):
-        pair = a[u] + a[u + 1 :]  # row r: d(u,.) + d(v,.), v = u + 1 + r
+        pair = a[:, u, None] + a[:, u + 1 :]  # [x, r]: d(x,u) + d(x,v), v = u + 1 + r
         rows = max(1, _BLOCK_ELEMENTS // ((n - u) * n))
         for r0 in range(0, n - u - 2, rows):
             r1 = min(r0 + rows, n - u - 2)
-            third = a[u + 2 + r0 :]  # w from the block's first v + 1
-            dmin = (pair[r0:r1, None, :] + third[None]).min(axis=2)
-            keep = np.arange(third.shape[0]) >= np.arange(r1 - r0)[:, None]
+            third = a[:, u + 2 + r0 :]  # w from the block's first v + 1
+            dmin = (pair[:, r0:r1, None] + third[:, None, :]).min(axis=0)
+            keep = np.arange(third.shape[1]) >= np.arange(r1 - r0)[:, None]
             hist += np.bincount(dmin[keep], minlength=top + 1)
     return hist
 

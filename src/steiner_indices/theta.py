@@ -10,6 +10,7 @@ an isometric hypercube embedding.
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -386,24 +387,21 @@ def _common_neighbour_pairs(adjacency):
     """Every wedge v - z - w (v < w), grouped by the pair (v, w).
 
     Returns (pv, pw, count, centre): the distinct pairs, how many common
-    neighbours each has, and the centre z of every wedge in pair order.
+    neighbours each has, and the centre z of every wedge in pair order, from
+    one pass pairing each adjacency slot with the later slots of its row.
     """
     n = len(adjacency)
-    vs, ws, zs = [], [], []
-    for z, nb in enumerate(adjacency):
-        if len(nb) < 2:
-            continue
-        i, j = np.triu_indices(len(nb), 1)
-        nb = np.asarray(nb, dtype=np.int64)
-        vs.append(nb[i])
-        ws.append(nb[j])
-        zs.append(np.full(i.size, z, dtype=np.int64))
-    key = np.concatenate(vs) * n + np.concatenate(ws)
+    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    nbr = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(deg.sum()))
+    later = np.repeat(np.cumsum(deg), deg) - 1 - np.arange(nbr.size)  # slots after p in its row
+    first = np.repeat(np.arange(nbr.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    key = nbr[first] * n + nbr[second]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
     count = np.diff(np.r_[starts, key.size])
-    return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
+    return key[starts] // n, key[starts] % n, count, np.repeat(np.arange(n), deg)[first][order]
 
 
 def _first_quadrangle_failure(a, pv, pw, count, centre):
@@ -414,7 +412,7 @@ def _first_quadrangle_failure(a, pv, pw, count, centre):
     """
     starts = np.cumsum(count) - count
     wedge_v = np.repeat(pv, count)
-    block = max(1, _BLOCK_ELEMENTS // centre.size)
+    block = max(1, _BLOCK_ELEMENTS // max(1, centre.size))
     for lo in range(0, a.shape[0], block):
         rows = a[lo : lo + block]
         closer = np.logical_or.reduceat(rows[:, centre] < rows[:, wedge_v], starts, axis=1)

@@ -123,6 +123,27 @@ def classification_corpus(seed=3):
     return out
 
 
+def wedge_pairs_per_vertex(adjacency):
+    """(pv, pw, count, centre) of theta._common_neighbour_pairs, built one
+    centre vertex at a time: the oracle for its flattened enumeration."""
+    n = len(adjacency)
+    vs, ws, zs = [], [], []
+    for z, nb in enumerate(adjacency):
+        if len(nb) < 2:
+            continue
+        i, j = np.triu_indices(len(nb), 1)
+        nb = np.asarray(nb, dtype=np.int64)
+        vs.append(nb[i])
+        ws.append(nb[j])
+        zs.append(np.full(i.size, z, dtype=np.int64))
+    key = np.concatenate(vs) * n + np.concatenate(ws)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[starts, key.size])
+    return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
+
+
 def triple_scan_classification(d):
     """(median_status, witness) by counting the medians of every vertex triple.
 

@@ -36,6 +36,7 @@ from steiner_indices import (
     steiner_hosoya,
     steiner_k_indices_brute,
 )
+from steiner_indices import steiner as steiner_module
 from steiner_indices.steiner import K_MAX, _steiner_dw
 
 
@@ -217,6 +218,32 @@ class TestTripleKernel:
                 m = min(rows[u][x] + rows[v][x] + rows[w][x] for x in range(n))
                 expected[m] = expected.get(m, 0) + 1
             assert steiner_hosoya(path(n), d, 3).coeffs == expected
+
+    def test_block_splits_leave_histograms_unchanged(self, monkeypatch):
+        graphs = _kernel_corpus()
+        ds = [all_pairs_distances(g) for g in graphs]
+        expected = [steiner_hosoya(g, d, 3).coeffs for g, d in zip(graphs, ds)]
+        for g, d, coeffs in zip(graphs, ds, expected):
+            # one v row per step, then three rows at root 0, splitting its n - 2 rows
+            for block in (1, 3 * g.n * g.n):
+                monkeypatch.setattr(steiner_module, "_BLOCK_ELEMENTS", block)
+                assert steiner_hosoya(g, d, 3).coeffs == coeffs, (g.edges, block)
+
+    @pytest.mark.parametrize("top", [42, 43, 10_922, 10_923])
+    def test_dtype_switches_do_not_wrap(self, top):
+        # 3 top sits at 126/129 (int8 -> int16) and 32766/32769 (int16 ->
+        # int32); the last vertex lies at top from every other, so the sum
+        # 3 top is formed at that branch vertex
+        rng = random.Random(top)
+        for n in (4, 5):
+            a = self._fabricated(rng, n, (top + 1) // 2, top)
+            a[n - 1, : n - 1] = a[: n - 1, n - 1] = top
+            rows = a.tolist()
+            expected = {}
+            for u, v, w in combinations(range(n), 3):
+                m = min(rows[u][x] + rows[v][x] + rows[w][x] for x in range(n))
+                expected[m] = expected.get(m, 0) + 1
+            assert steiner_hosoya(path(n), DistanceMatrix(a), 3).coeffs == expected
 
     def test_distances_beyond_int32_are_refused(self):
         d = DistanceMatrix(self._fabricated(random.Random(1), 4, 2**30 - 10, 2**30))

@@ -24,9 +24,11 @@ from helpers import (
     star,
     tree,
     triple_scan_classification,
+    wedge_pairs_per_vertex,
 )
 from steiner_indices import theta as theta_module
 from steiner_indices import (
+    Graph,
     IntegralityError,
     NotPartialCubeClassError,
     PreconditionError,
@@ -456,6 +458,30 @@ class TestMedianClassification:
         cls = median_classification(g, d)
         assert (cls.median_status, cls.witness) == ("not_modular", (3, 5, 6))
         assert triple_scan_classification(d) == ("not_modular", (3, 5, 6))
+
+
+class TestWedgeEnumeration:
+    def test_equals_per_vertex_oracle(self):
+        hub = tree(5, 40)  # a random tree with a 30-leaf hub attached at vertex 0
+        hub = Graph.from_edges(70, sorted(hub.edges + tuple((0, v) for v in range(40, 70))))
+        graphs = classification_corpus()
+        graphs += [complete_bipartite(a, m) for a in (2, 3) for m in range(1, 12)]
+        graphs += [hub, star(25)]
+        for g in graphs:
+            if max(map(len, g.adjacency)) < 2:
+                continue  # no wedge: the next test
+            got = theta_module._common_neighbour_pairs(g.adjacency)
+            expected = wedge_pairs_per_vertex(g.adjacency)
+            for x, y in zip(got, expected):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y), g.edges
+
+    def test_no_wedge_gives_empty_arrays_and_no_failure(self):
+        for adjacency in [(), ((),), ((1,), (0,)), ((1,), (0,), (3,), (2,))]:
+            pv, pw, count, centre = theta_module._common_neighbour_pairs(adjacency)
+            assert pv.size == pw.size == count.size == centre.size == 0
+            a = np.zeros((len(adjacency), len(adjacency)), dtype=np.int64)
+            assert theta_module._first_quadrangle_failure(a, pv, pw, count, centre) is None
 
 
 def test_float32_grams_refuse_beyond_their_exact_range(monkeypatch):
