@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from math import comb
 
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
@@ -32,8 +33,7 @@ def _fmt_value(v):
 def emit(report, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        out = {k: v for k, v in report.items()}
-        json.dump(out, stream, indent=2)
+        json.dump(report, stream, indent=2)
         stream.write("\n")
     else:
         for k, v in report.items():
@@ -262,10 +262,7 @@ def run_compute(args):
         ref = _brute_value(an, args.index, args.k, guard)
         report["verify_method"] = "brute"
         report["verify_elapsed_s"] = time.perf_counter() - start
-        if args.index == "hosoya":
-            equal = ref.coeffs == value.coeffs
-        else:
-            equal = ref == value
+        equal = ref == value  # SteinerHosoya compares k and coefficients
         report["verified"] = equal
         if not equal:
             report["verify_value"] = _value_str(args.index, ref)
@@ -344,6 +341,7 @@ def _add_source_args(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@cache  # parse_args keeps no state between calls; in-process callers build it once
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="steiner-indices",
@@ -373,9 +371,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

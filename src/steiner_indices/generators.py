@@ -105,8 +105,6 @@ def generate(desc):
             raise PreconditionError("tree needs n >= 1")
         if n == 1:
             return Graph.from_edges(1, [])
-        if n == 2:
-            return Graph.from_edges(2, [(0, 1)])
         rng = random.Random(seed)
         seq = [rng.randrange(n) for _ in range(n - 2)]
         return Graph.from_edges(n, _prufer_decode(seq, n))

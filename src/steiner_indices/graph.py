@@ -42,15 +42,12 @@ class Graph:
             seen.add(e)
             normalized.append(e)
         normalized.sort()
+        # rows come sorted: row x gets each w < x (edge (w, x)) before each v > x (edge (x, v))
         adj = [[] for _ in range(n)]
         for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(
-            n=n,
-            edges=tuple(normalized),
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
-        )
+        return cls(n=n, edges=tuple(normalized), adjacency=tuple(map(tuple, adj)))
 
     @property
     def size(self):

@@ -103,6 +103,7 @@ def check_k(n, k):
 
 
 _BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
+_HIST_BINS = 1 << 20  # histogram bins (3 max d + 1) the k = 3 kernel allocates at most
 
 
 def _triple_histogram(d):
@@ -113,12 +114,15 @@ def _triple_histogram(d):
     slabs (one per x) are minimised elementwise; the entries with w > v are
     counted. The sums reach 3 max d and run in the narrowest signed dtype
     that holds it (int8 to 127, int16 to 32767, else int32); a matrix whose
-    sums would overflow int32 is refused rather than wrapped.
+    sums would overflow int32 is refused rather than wrapped, and one needing
+    over ``_HIST_BINS`` bins before they are allocated (n > max d on a graph).
     """
     n = d.n
     top = 3 * int(d.a.max())
     if top > np.iinfo(np.int32).max:
         raise PreconditionError(f"distances up to {top // 3} overflow the int32 triple kernel")
+    if top >= _HIST_BINS:
+        raise PreconditionError(f"distances up to {top // 3} need {top + 1} histogram bins > {_HIST_BINS}")
     a = d.a.astype(next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max))
     hist = np.zeros(top + 1, dtype=np.int64)
     for u in range(n - 2):

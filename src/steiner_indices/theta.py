@@ -159,39 +159,39 @@ _GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
 
-def _one_bfs_labels(g, eu, ev):
-    """Theta labelling from one BFS from vertex 0, or None if some edge does
-    not flip exactly one coordinate.
+def _one_bfs_labels(g, eu, ev, dist):
+    """Theta labelling from one BFS from vertex 0 (``dist``), or None if some
+    edge does not flip exactly one coordinate.
 
-    A vertex's label L(v) is the OR of its BFS parents' labels; a vertex with
-    one parent also opens a new coordinate. Kept on a partial cube, L is the
-    Theta labelling. Let T(v) be the classes separating 0 from v; then
-    T(v) = T(p) + {class of pv} for each parent p. Mapping each coordinate to
-    the class of its opening edge sends L(v) one-to-one onto T(v), by
-    induction on the level. Two coordinates of one class C would split C's
-    far side (convex, so connected) into the vertices holding one or the
-    other, and an edge joining the two parts would flip both.
+    A vertex's label L(v) is L(p1) | L(p2) for two of its BFS parents (p2 = p1
+    for a single parent, which also opens a new coordinate). Kept on a partial
+    cube, L is the Theta labelling. Let T(v) be the classes separating 0 from
+    v; T(v) = T(p) + {class of pv} for each parent p, and a class is a
+    matching, so p1v and p2v lie in distinct classes and T(v) = T(p1) | T(p2).
+    Mapping each coordinate to the class of its opening edge sends L(v) onto
+    T(v), by induction on the level, and one-to-one: two coordinates of one
+    class C would split C's far side (convex, so connected) into the vertices
+    holding one or the other, and an edge joining the two would flip both.
     On a median graph L is kept: every halfspace is gated (Bandelt and Chepoi
     2008), so the gate z of a class's far side H has a single parent (a class
     is a matching), while a single-parent v in H other than z would have that
     parent on a geodesic through z, inside H. So the openers are the gates.
     """
-    dist = bfs_distances(g, 0)
     down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]  # same-level edges fail the flip check
     child = np.where(up, eu, ev)[down]
-    parent = np.where(up, ev, eu)[down][np.lexsort((child, dist[child]))]
+    parent = np.where(up, ev, eu)[down][np.argsort(child, kind="stable")]
+    parent = np.r_[parent, 0]  # sentinel: parent[first[0]] must exist, though the root has no parent
+    npar = np.bincount(child, minlength=g.n)
+    first = np.cumsum(npar) - npar  # parents of v: parent[first[v] : first[v] + npar[v]]
+    p1, p2 = parent[first], parent[first + npar - 1]
     order = np.argsort(dist, kind="stable")  # by level, then vertex id
-    npar = np.bincount(child, minlength=g.n)[order]
-    start = np.r_[0, np.cumsum(npar)]  # parents of order[i]: parent[start[i]:start[i + 1]]
-    opens = npar == 1
-    coord = np.cumsum(opens) - 1
-    labels = np.zeros((g.n, int(opens.sum())), dtype=bool)
+    opener = order[npar[order] == 1]
+    labels = np.zeros((g.n, opener.size), dtype=bool)
+    labels[opener, np.arange(opener.size)] = True
     level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
     for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
-        rows = labels[parent[start[lo] : start[hi]]]
-        labels[order[lo:hi]] = np.logical_or.reduceat(rows, start[lo:hi] - start[lo], axis=0)
-        new = lo + np.flatnonzero(opens[lo:hi])
-        labels[order[new], coord[new]] = True
+        v = order[lo:hi]
+        labels[v] |= labels[p1[v]] | labels[p2[v]]
     flips = np.empty(eu.size, dtype=np.int64)
     step = max(1, _GRAM_BLOCK // max(labels.shape[1], 1))
     for lo in range(0, eu.size, step):
@@ -217,12 +217,15 @@ def _theta_classes_crossing(g):
     case for partial cubes), opened in the order of their smallest edge.
     Returns None when some vertex is equidistant from the ends of a class's
     edge or the crossing sets overlap, in which case the caller must fall back
-    to the pairwise method.
+    to the pairwise method; raises PreconditionError on a disconnected graph.
     """
+    dist = bfs_distances(g, 0) if g.n else np.zeros(0, dtype=np.int32)
+    if (dist < 0).any():
+        raise PreconditionError("theta_classes requires a connected graph")
     m = len(g.edges)
     eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=m)
     ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=m)
-    labelled = _one_bfs_labels(g, eu, ev) if g.n else None
+    labelled = _one_bfs_labels(g, eu, ev, dist)
     if labelled is not None:
         return labelled
 
@@ -253,8 +256,6 @@ def theta_classes(g, d=None, method="pairwise"):
     cubes (one BFS on median graphs); it raises PreconditionError when its
     consistency checks fail rather than silently returning a wrong partition.
     """
-    if not is_connected(g):
-        raise PreconditionError("theta_classes requires a connected graph")
     if method == "crossing":
         result = _theta_classes_crossing(g)
         if result is None:
@@ -264,6 +265,8 @@ def theta_classes(g, d=None, method="pairwise"):
         return ThetaClasses(g.n, *result)
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
+    if not is_connected(g):
+        raise PreconditionError("theta_classes requires a connected graph")
     if d is None:
         d = all_pairs_distances(g)
     classes = _theta_classes_pairwise(g, d)

@@ -144,6 +144,34 @@ def wedge_pairs_per_vertex(adjacency):
     return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
 
 
+def all_parent_labels(g, eu, ev, dist):
+    """theta._one_bfs_labels with each label the OR of all BFS parents' labels,
+    one level at a time by np.logical_or.reduceat: the oracle for its
+    two-parent rule. Returns (classes, sides) or None, as that function does."""
+    down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]
+    child = np.where(up, eu, ev)[down]
+    parent = np.where(up, ev, eu)[down][np.lexsort((child, dist[child]))]
+    order = np.argsort(dist, kind="stable")
+    npar = np.bincount(child, minlength=g.n)[order]
+    start = np.r_[0, np.cumsum(npar)]  # parents of order[i]: parent[start[i]:start[i + 1]]
+    opens = npar == 1
+    coord = np.cumsum(opens) - 1
+    labels = np.zeros((g.n, int(opens.sum())), dtype=bool)
+    level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
+    for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
+        rows = labels[parent[start[lo] : start[hi]]]
+        labels[order[lo:hi]] = np.logical_or.reduceat(rows, start[lo:hi] - start[lo], axis=0)
+        new = lo + np.flatnonzero(opens[lo:hi])
+        labels[order[new], coord[new]] = True
+    flip = labels[eu] != labels[ev]
+    if (flip.sum(axis=1) != 1).any():
+        return None
+    flips = flip.argmax(axis=1)
+    coords = sorted(set(flips.tolist()), key=lambda c: int(np.argmax(flips == c)))  # by first edge
+    classes = tuple(tuple(g.edges[j] for j in np.flatnonzero(flips == c)) for c in coords)
+    return classes, labels.T[coords]
+
+
 def triple_scan_classification(d):
     """(median_status, witness) by counting the medians of every vertex triple.
 

@@ -261,6 +261,19 @@ class TestCompute:
             docs.append({k: v for k, v in doc.items() if not k.endswith("_s")})
         assert docs[0] == docs[1]
 
+    def test_successive_calls_share_the_parser_but_not_flags(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["compute", "--gen", "cycle:5", "--index", "sww", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--verify")
+        assert code == 0 and json.loads(out)["verified"] is True
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "verified" not in json.loads(out)
+        code, _, _ = run(capsys, "compute", "--gen", "cycle:8", "--index", "sw", "--k", "5", "--force")
+        assert code == 0
+        code, _, err = run(capsys, "compute", "--gen", "cycle:400", "--index", "sw", "--k", "5")
+        assert code == 2
+        assert "--force lifts it" in err
+
 
 class TestClassify:
     def test_hypercube(self, capsys):

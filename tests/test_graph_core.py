@@ -71,6 +71,19 @@ class TestParseEdgeList:
         assert g.n == 4 and g.size == 1
 
 
+def test_adjacency_rows_strictly_increase_from_shuffled_edges():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randrange(1, 30)
+        pairs = list(combinations(range(n), 2))
+        pairs = rng.sample(pairs, rng.randrange(len(pairs) + 1))  # a random subset in shuffled order
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        g = Graph.from_edges(n, edges)
+        for x, row in enumerate(g.adjacency):
+            assert all(a < b for a, b in zip(row, row[1:])), (x, row)
+            assert set(row) == {v for e in g.edges if x in e for v in e if v != x}
+
+
 class TestAllPairsDistances:
     def test_path_end_to_end(self):
         d = all_pairs_distances(path(4))

@@ -1,6 +1,7 @@
 """Steiner distances, the k-Hosoya polynomial, and the k-index computations."""
 
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -249,6 +250,15 @@ class TestTripleKernel:
         d = DistanceMatrix(self._fabricated(random.Random(1), 4, 2**30 - 10, 2**30))
         with pytest.raises(PreconditionError, match="overflow"):
             steiner_hosoya(path(4), d, 3)
+
+    def test_histograms_above_the_bin_budget_are_refused_before_allocating(self):
+        # 3 max d = 2^31 - 2 fits int32, but its histogram would take 16 GB
+        a = self._fabricated(random.Random(2), 4, 357_913_941, 715_827_882)
+        a[3, :3] = a[:3, 3] = 715_827_882
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="2147483647 histogram bins"):
+            steiner_hosoya(path(4), DistanceMatrix(a), 3)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestModularIndices3:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    all_parent_labels,
     classification_corpus,
     complete,
     complete_bipartite,
@@ -27,6 +28,7 @@ from helpers import (
     wedge_pairs_per_vertex,
 )
 from steiner_indices import theta as theta_module
+from steiner_indices.graph import bfs_distances
 from steiner_indices import (
     Graph,
     IntegralityError,
@@ -143,17 +145,21 @@ class TestThetaClasses:
                 theta_classes(g, method="crossing")
 
 
-def one_bfs_labels(g):
+def one_bfs_labels(g, labeller=None):
     eu = np.array([u for u, _ in g.edges], dtype=np.int64)
     ev = np.array([v for _, v in g.edges], dtype=np.int64)
-    return theta_module._one_bfs_labels(g, eu, ev)
+    return (labeller or theta_module._one_bfs_labels)(g, eu, ev, bfs_distances(g, 0))
+
+
+def bipartite_corpus():
+    rng = random.Random(41)
+    graphs = classification_corpus()
+    return graphs + [random_bipartite_graph(rng, rng.randrange(4, 25), rng.randrange(0, 8)) for _ in range(300)]
 
 
 class TestOneBfsLabels:
     def test_equals_pairwise_on_partial_cubes(self):
-        rng = random.Random(41)
-        graphs = classification_corpus()
-        graphs += [random_bipartite_graph(rng, rng.randrange(4, 25), rng.randrange(0, 8)) for _ in range(300)]
+        graphs = bipartite_corpus()
         checked = 0
         for g in graphs:
             d = all_pairs_distances(g)
@@ -172,17 +178,60 @@ class TestOneBfsLabels:
             checked += 1
         assert checked >= 200
 
+    def test_two_parents_equal_the_all_parent_oracle_on_partial_cubes(self):
+        kept = 0
+        for g in bipartite_corpus():
+            d = all_pairs_distances(g)
+            if not is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube:
+                continue
+            got, expected = one_bfs_labels(g), one_bfs_labels(g, all_parent_labels)
+            assert (got is None) == (expected is None), g.edges
+            if got is not None:
+                assert got[0] == expected[0]
+                assert np.array_equal(got[1], expected[1])
+                kept += 1
+        assert kept >= 280
+
+    def test_labellings_kept_off_partial_cubes_fail_the_isometry_check(self):
+        # the flip check alone can keep a labelling of a graph that is no
+        # partial cube; is_partial_cube must then refuse it
+        graphs = bipartite_corpus() + small_corpus(300, 12, seed=9)
+        kept = 0
+        for g in graphs:
+            d = all_pairs_distances(g)
+            if is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube:
+                continue
+            labelled = one_bfs_labels(g)
+            if labelled is not None:
+                assert not is_partial_cube(g, d, ThetaClasses(g.n, *labelled)).is_partial_cube, g.edges
+                kept += 1
+        assert kept >= 20
+
     @pytest.mark.parametrize("g", [grid(10, 10), tree(7, 60), hypercube(6)], ids=["grid", "tree", "Q6"])
     def test_median_graphs_take_one_bfs(self, monkeypatch, g):
         expected = theta_classes(g, all_pairs_distances(g))
+        bfs_sources = []
 
         def refuse(*args):
-            raise AssertionError("per-class BFS ran on a median graph")
+            raise AssertionError("per-class BFS or a separate connectivity BFS ran on a median graph")
+
+        def counted_bfs(graph, source):
+            bfs_sources.append(source)
+            return bfs_distances(graph, source)
 
         monkeypatch.setattr(theta_module, "_closer_labels", refuse)
+        monkeypatch.setattr(theta_module, "is_connected", refuse)
+        monkeypatch.setattr(theta_module, "bfs_distances", counted_bfs)
         tc = theta_classes(g, method="crossing")
+        assert bfs_sources == [0]
         assert tc.classes == expected.classes
         assert np.array_equal(tc.sides, expected.sides)
+
+    @pytest.mark.parametrize("method", ["crossing", "pairwise"])
+    def test_disconnected_graph_is_refused(self, method):
+        for g in (Graph.from_edges(2, []), Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])):
+            with pytest.raises(PreconditionError, match="^theta_classes requires a connected graph$"):
+                theta_classes(g, method=method)
 
     def test_non_median_partial_cubes_fall_back(self):
         # C6 and C8 have four and six single-parent vertices but three and
