@@ -212,8 +212,9 @@ def _compute_value(an, index, k, method, guard):
             if method == "cut":
                 raise
         else:
-            sw, sww = cut_report(an.theta, an.pairs, k_cut, cls)
-            return (sw if index in ("w", "sw") else sww), "cut"
+            if index in ("w", "sw"):  # SW_k needs no quadrant histogram
+                return cut_report(an.theta, None, k_cut, cls)[0], "cut"
+            return cut_report(an.theta, an.pairs, k_cut, cls)[1], "cut"
 
     if index in ("w", "ww"):
         if method == "modular":

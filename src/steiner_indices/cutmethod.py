@@ -36,7 +36,8 @@ def check_exact(n, m, k, classification):
 
 def cut_report(tc, pc, k, classification):
     """(SW_k, SWW_k) from the class sides of ``tc`` and the quadrant-size
-    histogram ``pc`` of ``theta.pair_counts``, in Python ints.
+    histogram ``pc`` of ``theta.pair_counts``, in Python ints. SW_k needs no
+    histogram: with ``pc`` None, SWW_k comes back None.
 
     With a_i, b_i the side sizes of class i and hist[v] the number of
     class-pair quadrants of size v:
@@ -45,11 +46,13 @@ def cut_report(tc, pc, k, classification):
                    + sum_v hist[v] C(v,k)
     """
     n = tc.n
-    check_exact(n, sum(map(len, tc.classes)), k, classification)
+    check_exact(n, tc.edge_class.size, k, classification)
     d = tc.class_count
     total = comb(n, k)
     unsplit = sum(comb(a, k) + comb(b, k) for a, b in tc.side_counts)
     sw = d * total - unsplit
+    if pc is None:
+        return sw, None
     in_quadrant = sum(count * comb(v, k) for v, count in enumerate(pc.tolist()) if count)
     return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + in_quadrant
 

@@ -5,9 +5,12 @@ Generator descriptors are strings like "path:4", "cycle:6", "complete:5",
 "hypercube:3", "grid:3,3", "tree:7,10" (seed, vertex count).
 """
 
+import heapq
 import random
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .errors import PreconditionError
 from .graph import Graph
@@ -46,8 +49,6 @@ def _prufer_decode(seq, n):
         degree[x] += 1
     edges = []
     leaves = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
     heapq.heapify(leaves)
     for x in seq:
         leaf = heapq.heappop(leaves)
@@ -68,37 +69,31 @@ def generate(desc):
         (n,) = params
         if n < 1:
             raise PreconditionError("path needs n >= 1")
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph.from_edges(n, np.c_[np.arange(n - 1), np.arange(1, n)])
     if kind == "cycle":
         (n,) = params
         if n < 3:
             raise PreconditionError("cycle needs n >= 3")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph.from_edges(n, np.c_[np.arange(n), (np.arange(n) + 1) % n])
     if kind == "complete":
         (n,) = params
         if n < 1:
             raise PreconditionError("complete needs n >= 1")
-        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph.from_edges(n, np.transpose(np.triu_indices(n, 1)))
     if kind == "hypercube":
         (k,) = params
         if not 0 <= k <= 16:
             raise PreconditionError("hypercube needs 0 <= k <= 16")
-        n = 1 << k
-        edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(k) if v < v ^ (1 << b)]
-        return Graph.from_edges(n, edges)
+        v, b = np.nonzero((np.arange(1 << k)[:, None] >> np.arange(k)) % 2 == 0)  # bit b of v is clear
+        return Graph.from_edges(1 << k, np.c_[v, v | (1 << b)])
     if kind == "grid":
         m, n = params
         if m < 1 or n < 1:
             raise PreconditionError("grid needs m, n >= 1")
-        edges = []
-        for i in range(m):
-            for j in range(n):
-                v = i * n + j
-                if j + 1 < n:
-                    edges.append((v, v + 1))
-                if i + 1 < m:
-                    edges.append((v, v + n))
-        return Graph.from_edges(m * n, edges)
+        ids = np.arange(m * n).reshape(m, n)
+        u = np.r_[ids[:, :-1].ravel(), ids[:-1].ravel()]
+        v = np.r_[ids[:, 1:].ravel(), ids[1:].ravel()]
+        return Graph.from_edges(m * n, np.c_[u, v])
     if kind == "tree":
         seed, n = params
         if n < 1:

@@ -7,54 +7,78 @@ Python ints.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, GraphFormatError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1.
+    """Undirected simple graph on vertices 0..n-1, stored as read-only arrays.
 
-    ``edges`` holds each edge once as a sorted pair; ``adjacency`` is a tuple
-    of sorted neighbor tuples, consistent with the edge set.
+    ``eu``, ``ev`` hold each edge once (u < v), sorted; ``indptr``, ``nbr`` are
+    the CSR adjacency, row x (``nbr[indptr[x]:indptr[x + 1]]``) sorted.
+    ``edges`` and ``adjacency`` are tuple views built on first use.
     """
 
     n: int
-    edges: tuple
-    adjacency: tuple
+    eu: np.ndarray
+    ev: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
 
     @classmethod
-    def from_edges(cls, n, edges):
+    def from_edges(cls, n, edges, lines=None):
+        """Validate and store ``edges`` (pairs or an (m, 2) array). The first
+        faulty edge in input order is named; with ``lines`` given, by its line
+        in a GraphFormatError."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        seen = set()
-        normalized = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range [0, {n}): ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-            normalized.append(e)
-        normalized.sort()
-        # rows come sorted: row x gets each w < x (edge (w, x)) before each v > x (edge (x, v))
-        adj = [[] for _ in range(n)]
-        for u, v in normalized:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n=n, edges=tuple(normalized), adjacency=tuple(map(tuple, adj)))
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an endpoint beyond int64 is out of range; find it exactly
+            e = np.asarray(edges, dtype=object).reshape(-1, 2)
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        key = lo * n + hi  # unique per in-range edge; a clash with an out-of-range one flags no earlier edge
+        order = np.argsort(key, kind="stable")
+        dup = np.zeros(len(e), dtype=bool)
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]  # a later repeat of an earlier edge
+        out = (lo < 0) | (hi >= n)
+        bad = np.flatnonzero(out | (lo == hi) | dup)
+        if bad.size:  # checked in this order per edge
+            i = int(bad[0])
+            u, v = (int(x) for x in e[i])
+            msg = f"self-loop at vertex {u}" if u == v else f"duplicate edge ({min(u, v)}, {max(u, v)})"
+            msg = f"edge endpoint out of range [0, {n}): ({u}, {v})" if out[i] else msg
+            raise ValueError(msg) if lines is None else GraphFormatError(msg, lines[i])
+        eu, ev = lo[order].astype(np.int64), hi[order].astype(np.int64)
+        # row x takes each w < x (edge (w, x), in order of w) before each v > x
+        src = np.concatenate((ev, eu))
+        row = np.argsort(src, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        arrays = (eu, ev, indptr, np.concatenate((eu, ev))[row])
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(n, *arrays)
 
     @property
     def size(self):
-        return len(self.edges)
+        return self.eu.size
 
     def degree(self, v):
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    @cached_property
+    def edges(self):
+        return tuple(zip(self.eu.tolist(), self.ev.tolist()))
+
+    @cached_property
+    def adjacency(self):
+        nbr, bounds = self.nbr.tolist(), self.indptr.tolist()
+        return tuple(tuple(nbr[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def parse_edge_list(text):
@@ -64,8 +88,7 @@ def parse_edge_list(text):
     Lines starting with ``#`` are comments. Raises GraphFormatError with the
     offending line number on any malformed input.
     """
-    header = None
-    edges = []
+    edges, lines = [], []
     n = m = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -78,45 +101,52 @@ def parse_edge_list(text):
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"non-integer field in {line!r}", lineno) from None
-        if header is None:
-            header = lineno
+        if n is None:
             n, m = a, b
             if n < 0 or m < 0:
                 raise GraphFormatError("header counts must be nonnegative", lineno)
             continue
-        u, v = a, b
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphFormatError(f"endpoint out of range [0, {n}): {u} {v}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        edges.append(((u, v) if u < v else (v, u), lineno))
-    if header is None:
+        if not (0 <= a < n) or not (0 <= b < n):
+            raise GraphFormatError(f"endpoint out of range [0, {n}): {a} {b}", lineno)
+        if a == b:
+            raise GraphFormatError(f"self-loop at vertex {a}", lineno)
+        edges += (a, b)
+        lines.append(lineno)
+    if n is None:
         raise GraphFormatError("missing header line 'n m'")
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    seen = {}
-    for e, lineno in edges:
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge ({e[0]}, {e[1]})", lineno)
-        seen[e] = lineno
-    return Graph.from_edges(n, [e for e, _ in edges])
+    if len(lines) != m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(lines)}")
+    return Graph.from_edges(n, np.array(edges, dtype=np.int64), lines)
+
+
+_BFS_BLOCK = 1 << 18  # sources x directed edges per block of all_pairs_distances
+
+
+def _bfs(indptr, nbr, dist, sources):
+    """Level-synchronous BFS over the CSR arrays ``indptr``, ``nbr`` into the
+    int32 vector ``dist`` (-1 at unvisited vertices), one numpy step per level.
+    Of the unvisited candidates one per vertex is kept (each writes its own
+    tag; the one whose tag survives wins), so no frontier repeats a vertex."""
+    deg = np.diff(indptr)
+    v = np.asarray(sources, dtype=np.int64)
+    dist[v] = 0
+    depth = 0
+    while v.size:
+        depth += 1
+        count = deg[v]
+        ends = np.cumsum(count)
+        cand = nbr[np.arange(ends[-1]) + np.repeat(indptr[v] - ends + count, count)]
+        cand = cand[dist[cand] < 0]
+        tag = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
+        dist[cand] = tag
+        v = cand[dist[cand] == tag]
+        dist[v] = depth
+    return dist
 
 
 def bfs_distances(g, source):
     """Distances from one source as a numpy int32 vector, -1 if unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier, depth = [source], 0
-    while frontier:  # level-synchronous over plain lists, converted once
-        depth += 1
-        nxt = []
-        for x in frontier:
-            for w in g.adjacency[x]:
-                if dist[w] < 0:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    return np.array(dist, dtype=np.int32)
+    return _bfs(g.indptr, g.nbr, np.full(g.n, -1, dtype=np.int32), [source])
 
 
 class DistanceMatrix:
@@ -139,25 +169,25 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g):
-    """BFS from every source. Raises DisconnectedGraphError naming an unreachable pair."""
-    n = g.n
-    if n == 0:
-        return DistanceMatrix(np.zeros((0, 0), dtype=np.int32))
+    """BFS from every source, one block of sources at a time as a single BFS
+    over that many disjoint copies of g (vertex v of copy i is i * n + v).
+    Raises DisconnectedGraphError naming an unreachable pair."""
+    n, m2 = g.n, 2 * g.size
     d = np.empty((n, n), dtype=np.int32)
-    for s in range(n):
-        row = bfs_distances(g, s)
-        if s == 0:
-            bad = np.flatnonzero(row < 0)
-            if bad.size:
-                raise DisconnectedGraphError(0, int(bad[0]))
-        d[s] = row
+    rows = max(1, _BFS_BLOCK // max(1, m2))
+    for lo in range(0, n, rows):
+        block = d[lo : lo + rows].reshape(-1)
+        block.fill(-1)
+        copy = np.arange(block.size // n, dtype=np.int64)[:, None]
+        indptr = np.append((g.indptr[:-1] + copy * m2).ravel(), copy.size * m2)
+        _bfs(indptr, (g.nbr + copy * n).ravel(), block, copy.ravel() * (n + 1) + lo)
+        if lo == 0 and (d[0] < 0).any():
+            raise DisconnectedGraphError(0, int(np.argmax(d[0] < 0)))
     return DistanceMatrix(d)
 
 
 def is_connected(g):
-    if g.n == 0:
-        return True
-    return not (bfs_distances(g, 0) < 0).any()
+    return g.n == 0 or bool((bfs_distances(g, 0) >= 0).all())
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,14 @@ an isometric hypercube embedding.
 
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import IntegralityError, NotPartialCubeClassError, PreconditionError
-from .graph import all_pairs_distances, bfs_distances, is_connected
+from .errors import DisconnectedGraphError, IntegralityError, NotPartialCubeClassError, PreconditionError
+from .graph import _bfs, all_pairs_distances, bfs_distances
 
 
 def theta_related(d, e1, e2):
@@ -26,19 +26,21 @@ def theta_related(d, e1, e2):
     return d(u1, u2) + d(v1, v2) != d(u1, v2) + d(v1, u2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaClasses:
     """Edge partition under Theta*, with side bipartitions when they exist.
 
-    ``classes`` are ordered by smallest contained edge. ``sides`` is a
-    read-only (d, n) bool matrix: ``sides[i, v]`` is True iff v lies in side 1
-    of class i, and side 0 holds vertex 0. It is None when some class does not
-    split the graph into exactly two components (i.e. the graph is not a
-    partial cube).
+    ``edge_class[j]`` is the class of the graph's edge (``eu[j]``, ``ev[j]``),
+    classes numbered by smallest edge; ``classes`` is their tuple view, built
+    on first use. ``sides`` is a read-only (d, n) bool matrix: ``sides[i, v]``
+    is True iff v lies in side 1 of class i, and side 0 holds vertex 0. It is
+    None when some class does not split the graph into exactly two components.
     """
 
     n: int
-    classes: tuple
+    eu: np.ndarray
+    ev: np.ndarray
+    edge_class: np.ndarray
     sides: Optional[np.ndarray]
 
     def __post_init__(self):
@@ -47,7 +49,14 @@ class ThetaClasses:
 
     @property
     def class_count(self):
-        return len(self.classes)
+        return int(self.edge_class.max(initial=-1)) + 1
+
+    @cached_property
+    def classes(self):
+        by_class = np.argsort(self.edge_class, kind="stable")
+        edges = list(zip(self.eu[by_class].tolist(), self.ev[by_class].tolist()))
+        ends = np.cumsum(np.bincount(self.edge_class, minlength=self.class_count)).tolist()
+        return tuple(tuple(edges[a:b]) for a, b in zip([0] + ends, ends))
 
     @property
     def side_counts(self):
@@ -85,20 +94,21 @@ def side_partition(g, cls):
     return np.array(comp, dtype=bool)
 
 
-def _attach_sides(g, classes):
-    sides = np.zeros((len(classes), g.n), dtype=bool)
-    for i, cls in enumerate(classes):
+def _attach_sides(g, tc):
+    sides = np.zeros((tc.class_count, g.n), dtype=bool)
+    for i, cls in enumerate(tc.classes):
         try:
             sides[i] = side_partition(g, cls)
         except NotPartialCubeClassError:
-            return None
-    return sides
+            return tc
+    return replace(tc, sides=sides)
 
 
 def _theta_classes_pairwise(g, d):
-    """Theta* by testing Theta on all edge pairs and merging with union-find."""
-    edges = g.edges
-    m = len(edges)
+    """Theta* by testing Theta on all edge pairs and merging with union-find;
+    returns the class of each edge, classes numbered by their smallest edge."""
+    eu, ev = g.eu, g.ev
+    m = eu.size
     parent = list(range(m))
 
     def find(x):
@@ -108,10 +118,7 @@ def _theta_classes_pairwise(g, d):
         return x
 
     a = d.a
-    eu = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-    ev = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-    for i in range(m):
-        u1, v1 = edges[i]
+    for i, (u1, v1) in enumerate(zip(eu.tolist(), ev.tolist())):
         # vectorized Theta test of edge i against edges i+1..m-1
         lhs = a[u1, eu[i + 1 :]] + a[v1, ev[i + 1 :]]
         rhs = a[u1, ev[i + 1 :]] + a[v1, eu[i + 1 :]]
@@ -119,49 +126,18 @@ def _theta_classes_pairwise(g, d):
             ri, rj = find(i), find(i + 1 + int(off))
             if ri != rj:
                 parent[rj] = ri
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(edges[i])
-    classes = sorted((tuple(sorted(cl)) for cl in groups.values()), key=lambda c: c[0])
-    return tuple(classes)
-
-
-def _closer_labels(adjacency, u, v):
-    """Label each vertex 0 if it is closer to u, 1 if closer to v.
-
-    One level-synchronous BFS seeded from both ends of the edge uv. Returns
-    None at the first vertex x that both labels reach at the same level,
-    i.e. with d(u, x) == d(v, x).
-    """
-    label = [-1] * len(adjacency)
-    level = [-1] * len(adjacency)
-    label[u], label[v] = 0, 1
-    level[u] = level[v] = 0
-    frontier = [u, v]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for x in frontier:
-            lx = label[x]
-            for w in adjacency[x]:
-                if label[w] < 0:
-                    label[w] = lx
-                    level[w] = depth
-                    nxt.append(w)
-                elif label[w] != lx and level[w] == depth:
-                    return None
-        frontier = nxt
-    return label
+    _, first, inverse = np.unique([find(i) for i in range(m)], return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].astype(np.int64)
 
 
 _GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and the flip check
+_TRANSPOSE_ROWS = 1 << 12  # label rows transposed per step into the side matrix
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
 
-def _one_bfs_labels(g, eu, ev, dist):
-    """Theta labelling from one BFS from vertex 0 (``dist``), or None if some
-    edge does not flip exactly one coordinate.
+def _one_bfs_labels(g, dist):
+    """Theta labelling from one BFS from vertex 0 (``dist``) as (edge class,
+    sides), or None if some edge does not flip exactly one coordinate.
 
     A vertex's label L(v) is L(p1) | L(p2) for two of its BFS parents (p2 = p1
     for a single parent, which also opens a new coordinate). Kept on a partial
@@ -177,6 +153,7 @@ def _one_bfs_labels(g, eu, ev, dist):
     is a matching), while a single-parent v in H other than z would have that
     parent on a geodesic through z, inside H. So the openers are the gates.
     """
+    eu, ev = g.eu, g.ev
     down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]  # same-level edges fail the flip check
     child = np.where(up, eu, ev)[down]
     parent = np.where(up, ev, eu)[down][np.argsort(child, kind="stable")]
@@ -200,16 +177,23 @@ def _one_bfs_labels(g, eu, ev, dist):
             return None
         flips[lo : lo + step] = x.argmax(axis=1)
     rank = np.argsort(np.unique(flips, return_index=True)[1])  # class i is coordinate rank[i]
-    edge_class = np.argsort(rank)[flips]
-    by_class = np.argsort(edge_class, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(edge_class, minlength=rank.size)).tolist()
-    classes = tuple(tuple(g.edges[j] for j in by_class[a:b]) for a, b in zip([0] + ends, ends))
-    return classes, np.ascontiguousarray(labels.T[rank])
+    sides = np.empty((rank.size, g.n), dtype=bool)
+    for lo in range(0, g.n, _TRANSPOSE_ROWS):  # row blocks: one transpose of labels[:, rank] thrashes the cache
+        sides[:, lo : lo + _TRANSPOSE_ROWS] = labels[lo : lo + _TRANSPOSE_ROWS, rank].T
+    return np.argsort(rank)[flips], sides
 
 
-def _theta_classes_crossing(g):
-    """Theta* of a bipartite partial cube: one BFS where ``_one_bfs_labels``
-    applies (every median graph), else one two-source BFS per class (C6, C8).
+def _connected_distances(g, caller):
+    try:
+        return all_pairs_distances(g)
+    except DisconnectedGraphError:
+        raise PreconditionError(f"{caller} requires a connected graph") from None
+
+
+def _theta_classes_crossing(g, d):
+    """Theta* of a bipartite partial cube as (edge class, sides): one BFS where
+    ``_one_bfs_labels`` applies (every median graph), else one cut per class
+    read from the distance rows ``d`` (C6, C8), computed here if not given.
 
     For a bipartite graph the edges Theta-related to uv are exactly the edges
     crossing the {closer-to-u, closer-to-v} vertex bipartition; when these
@@ -219,33 +203,30 @@ def _theta_classes_crossing(g):
     edge or the crossing sets overlap, in which case the caller must fall back
     to the pairwise method; raises PreconditionError on a disconnected graph.
     """
-    dist = bfs_distances(g, 0) if g.n else np.zeros(0, dtype=np.int32)
+    dist = (bfs_distances(g, 0) if d is None else d.row(0)) if g.n else np.zeros(0, dtype=np.int32)
     if (dist < 0).any():
         raise PreconditionError("theta_classes requires a connected graph")
-    m = len(g.edges)
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=m)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=m)
-    labelled = _one_bfs_labels(g, eu, ev, dist)
+    labelled = _one_bfs_labels(g, dist)
     if labelled is not None:
         return labelled
 
-    assigned = np.full(m, -1, dtype=np.int64)
-    classes, sides = [], []
-    for i in range(m):
-        if assigned[i] >= 0:
+    a = (all_pairs_distances(g) if d is None else d).a
+    eu, ev = g.eu, g.ev
+    edge_class = np.full(eu.size, -1, dtype=np.int64)
+    sides = []
+    for i in range(eu.size):
+        if edge_class[i] >= 0:
             continue
-        u, v = g.edges[i]
-        label = _closer_labels(g.adjacency, u, v)
-        if label is None:
+        du, dv = a[eu[i]], a[ev[i]]
+        if (du == dv).any():
             return None  # tie: not bipartite along this edge's cut
-        closer_v = np.array(label, dtype=bool)
+        closer_v = dv < du
         idx = np.flatnonzero(closer_v[eu] != closer_v[ev])
-        if (assigned[idx] >= 0).any():
+        if (edge_class[idx] >= 0).any():
             return None  # overlap: Theta not transitive here
-        assigned[idx] = len(classes)
-        classes.append(tuple(g.edges[int(j)] for j in idx))
+        edge_class[idx] = len(sides)
         sides.append(closer_v ^ closer_v[0])
-    return tuple(classes), np.array(sides, dtype=bool).reshape(-1, g.n)
+    return edge_class, np.array(sides, dtype=bool).reshape(-1, g.n)
 
 
 def theta_classes(g, d=None, method="pairwise"):
@@ -253,24 +234,22 @@ def theta_classes(g, d=None, method="pairwise"):
 
     method="pairwise" is the general algorithm (O(|E|^2) Theta tests merged by
     union-find). method="crossing" is a fast equivalent valid for partial
-    cubes (one BFS on median graphs); it raises PreconditionError when its
-    consistency checks fail rather than silently returning a wrong partition.
+    cubes (one BFS on median graphs, row 0 of ``d`` when given); it raises
+    PreconditionError when its consistency checks fail rather than silently
+    returning a wrong partition.
     """
     if method == "crossing":
-        result = _theta_classes_crossing(g)
+        result = _theta_classes_crossing(g, d)
         if result is None:
             raise PreconditionError(
                 "crossing method inapplicable (graph is not a partial cube); use method='pairwise'"
             )
-        return ThetaClasses(g.n, *result)
+        return ThetaClasses(g.n, g.eu, g.ev, *result)
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    if not is_connected(g):
-        raise PreconditionError("theta_classes requires a connected graph")
     if d is None:
-        d = all_pairs_distances(g)
-    classes = _theta_classes_pairwise(g, d)
-    return ThetaClasses(n=g.n, classes=classes, sides=_attach_sides(g, classes))
+        d = _connected_distances(g, "theta_classes")
+    return _attach_sides(g, ThetaClasses(g.n, g.eu, g.ev, _theta_classes_pairwise(g, d), None))
 
 
 def pair_counts(tc):
@@ -307,23 +286,18 @@ def pair_counts(tc):
     return hist
 
 
-def is_bipartite(g):
-    """2-color by BFS; returns (flag, colors or None)."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False, None
-    return True, color
+def is_bipartite(g, levels=None):
+    """(flag, colors or None): no edge joins two vertices on one BFS level,
+    each component levelled from its smallest vertex (of a connected graph,
+    ``levels`` may be row 0 of its distances); a color is a level's parity."""
+    if levels is None:
+        levels = np.full(g.n, -1, dtype=np.int32)
+        for root in range(g.n):
+            if levels[root] < 0:
+                _bfs(g.indptr, g.nbr, levels, [root])
+    if (levels[g.eu] == levels[g.ev]).any():
+        return False, None
+    return True, (levels & 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -386,17 +360,16 @@ class GraphClassification:
 _BLOCK_ELEMENTS = 1 << 16  # roots x wedges evaluated per numpy step
 
 
-def _common_neighbour_pairs(adjacency):
+def _common_neighbour_pairs(g):
     """Every wedge v - z - w (v < w), grouped by the pair (v, w).
 
     Returns (pv, pw, count, centre): the distinct pairs, how many common
     neighbours each has, and the centre z of every wedge in pair order, from
-    one pass pairing each adjacency slot with the later slots of its row.
+    one pass pairing each CSR slot with the later slots of its row.
     """
-    n = len(adjacency)
-    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    nbr = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(deg.sum()))
-    later = np.repeat(np.cumsum(deg), deg) - 1 - np.arange(nbr.size)  # slots after p in its row
+    n, nbr = g.n, g.nbr
+    deg = np.diff(g.indptr)
+    later = np.repeat(g.indptr[1:], deg) - 1 - np.arange(nbr.size)  # slots after p in its row
     first = np.repeat(np.arange(nbr.size), later)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     key = nbr[first] * n + nbr[second]
@@ -465,23 +438,21 @@ def median_classification(g, d=None, tc=None):
     A bipartite G is a partial cube iff ``tc``, by default its crossing
     classes (which every partial cube has), labels it isometrically.
     """
-    if not is_connected(g):
-        raise PreconditionError("median_classification requires a connected graph")
     if d is None:
-        d = all_pairs_distances(g)
-    bip, _ = is_bipartite(g)
+        d = _connected_distances(g, "median_classification")
+    bip, _ = is_bipartite(g, d.row(0) if g.n else None)  # the BFS levels from vertex 0
     if g.n < 3:
         return GraphClassification(True, bip, g.n >= 1, "median", None)
     if tc is None and bip:
         with suppress(PreconditionError):
-            tc = theta_classes(g, method="crossing")
+            tc = theta_classes(g, d, method="crossing")
     if tc is not None and not is_partial_cube(g, d, tc, bip).is_partial_cube:
         tc = None
 
     if not bip:
         status, root = "not_modular", 0
     else:
-        pv, pw, count, centre = _common_neighbour_pairs(g.adjacency)
+        pv, pw, count, centre = _common_neighbour_pairs(g)
         root = _first_quadrangle_failure(d.a, pv, pw, count, centre)
         if root is not None:
             status = "not_modular"

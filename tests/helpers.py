@@ -144,10 +144,11 @@ def wedge_pairs_per_vertex(adjacency):
     return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
 
 
-def all_parent_labels(g, eu, ev, dist):
+def all_parent_labels(g, dist):
     """theta._one_bfs_labels with each label the OR of all BFS parents' labels,
     one level at a time by np.logical_or.reduceat: the oracle for its
-    two-parent rule. Returns (classes, sides) or None, as that function does."""
+    two-parent rule. Returns (edge class, sides) or None, as that function does."""
+    eu, ev = g.eu, g.ev
     down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]
     child = np.where(up, eu, ev)[down]
     parent = np.where(up, ev, eu)[down][np.lexsort((child, dist[child]))]
@@ -168,8 +169,45 @@ def all_parent_labels(g, eu, ev, dist):
         return None
     flips = flip.argmax(axis=1)
     coords = sorted(set(flips.tolist()), key=lambda c: int(np.argmax(flips == c)))  # by first edge
-    classes = tuple(tuple(g.edges[j] for j in np.flatnonzero(flips == c)) for c in coords)
-    return classes, labels.T[coords]
+    rank = {c: i for i, c in enumerate(coords)}
+    return np.array([rank[c] for c in flips.tolist()], dtype=np.int64), labels.T[coords]
+
+
+def queue_bfs_distances(g, source):
+    """Distances from one source by a plain-Python level-synchronous BFS over
+    the adjacency tuples, -1 if unreachable: the oracle for graph._bfs."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier, depth = [source], 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for w in g.adjacency[x]:
+                if dist[w] < 0:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def queue_two_colouring(g):
+    """(flag, colors or None) by a BFS queue from each component's smallest
+    vertex: the oracle for theta.is_bipartite."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = [start]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return False, None
+    return True, color
 
 
 def triple_scan_classification(d):

@@ -10,7 +10,7 @@ import pytest
 
 import steiner_indices
 from helpers import complete, complete_bipartite, cycle, grid
-from steiner_indices import cli, generate, grid_sww3, parse_descriptor
+from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor
 from steiner_indices.cli import main
 
 
@@ -119,9 +119,9 @@ class TestCompute:
         calls = []
         real = theta.is_bipartite
 
-        def counted(graph):
+        def counted(graph, *levels):
             calls.append(graph.n)
-            return real(graph)
+            return real(graph, *levels)
 
         def refuse(*args):
             raise AssertionError("pairwise Theta scan ran in compute")
@@ -131,6 +131,31 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
         assert code == 0, err
         assert calls == [g.n]
+
+    @pytest.mark.parametrize(
+        "spec,expected", [("grid:30,30", "sww3 = 61736397700"), ("hypercube:8", "sww3 = 60456960")]
+    )
+    def test_cut_on_a_median_family_builds_no_tuple_view(self, capsys, monkeypatch, spec, expected):
+        def refuse(self):
+            raise AssertionError("a per-edge tuple view was built on the cut path")
+
+        for owner, name in ((Graph, "edges"), (Graph, "adjacency"), (ThetaClasses, "classes")):
+            monkeypatch.setattr(owner, name, property(refuse))
+        code, out, err = run(capsys, "compute", "--gen", spec, "--index", "sww", "--method", "cut")
+        assert code == 0, err
+        assert expected in out and "method = cut" in out
+
+    @pytest.mark.parametrize("index,expected", [("w", "w = 760509"), ("sw", "sw3 = 113315841")])
+    def test_sw_by_cut_needs_no_pair_counts(self, capsys, monkeypatch, index, expected):
+        from steiner_indices import theta
+
+        def refuse(*args):
+            raise AssertionError("pair_counts ran for an index that needs no quadrant histogram")
+
+        monkeypatch.setattr(theta, "pair_counts", refuse)
+        code, out, err = run(capsys, "compute", "--gen", "tree:7,300", "--index", index, "--method", "cut")
+        assert code == 0, err
+        assert expected in out and "method = cut" in out
 
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]

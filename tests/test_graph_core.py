@@ -3,17 +3,23 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from helpers import (
+    classification_corpus,
     complete,
     cycle,
     grid,
+    hypercube,
     naive_sum_cross,
     naive_ordered_square_sum,
     path,
+    queue_bfs_distances,
+    queue_two_colouring,
     small_corpus,
 )
+from steiner_indices import graph as graph_module
 from steiner_indices import (
     DisconnectedGraphError,
     Graph,
@@ -21,8 +27,10 @@ from steiner_indices import (
     all_pairs_distances,
     distance_moments,
     hyper_wiener,
+    is_bipartite,
     parse_edge_list,
 )
+from steiner_indices.graph import bfs_distances
 
 
 class TestParseEdgeList:
@@ -69,6 +77,101 @@ class TestParseEdgeList:
         # connectivity is not the parser's business
         g = parse_edge_list("4 1\n0 1")
         assert g.n == 4 and g.size == 1
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 3\n0 1\n1 0\n0 5", "line 4: endpoint out of range [0, 3): 0 5"),
+            ("3 3\n0 1\n1 0\n2 2", "line 4: self-loop at vertex 2"),
+            ("3 3\n2 2\n0 1\n1 0", "line 2: self-loop at vertex 2"),
+            ("3 4\n0 1\n1 2\n2 1\n1 0", "line 4: duplicate edge (1, 2)"),
+            ("4 4\n0 1\n2 3\n1 0\n3 2", "line 4: duplicate edge (0, 1)"),
+            ("3 3\n0 1\n0 1\n0 x", "line 4: non-integer field in '0 x'"),
+        ],
+    )
+    def test_two_faults_name_the_first_line(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+        ([(0, 9), (2, 2)], "edge endpoint out of range [0, 3): (0, 9)"),
+        ([(9, 9)], "edge endpoint out of range [0, 3): (9, 9)"),
+        ([(0, -1), (1, 1)], "edge endpoint out of range [0, 3): (0, -1)"),
+        ([(1, 0), (3, 1), (0, 1), (-1, 2)], "edge endpoint out of range [0, 3): (3, 1)"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+        ([(2, 2), (0, 1), (1, 0)], "self-loop at vertex 2"),
+        ([(1, 2), (2, 1), (0, 1), (1, 0)], "duplicate edge (1, 2)"),
+        ([(0, 10**30)], f"edge endpoint out of range [0, 3): (0, {10**30})"),
+    ],
+)
+def test_construction_names_the_first_faulty_edge(edges, message):
+    forms = [edges] + ([np.array(edges)] if max(map(max, edges)) < 2**63 else [])  # pairs, and an array
+    for form in forms:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(3, form)
+        assert str(exc.value) == message
+
+
+def test_graph_arrays_are_read_only():
+    for g in [grid(3, 4), hypercube(3), parse_edge_list("4 3\n3 2\n0 1\n2 0"), Graph.from_edges(2, [])]:
+        for name in ("eu", "ev", "indptr", "nbr"):
+            a = getattr(g, name)
+            assert a.dtype == np.int64 and not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[:1] = 0
+
+
+def bfs_corpus():
+    """classification_corpus, 300 seeded random graphs (most of them disconnected,
+    with isolated vertices), and the empty, one-vertex and isolated-vertex cases."""
+    rng = random.Random(23)
+    graphs = classification_corpus()
+    for _ in range(300):
+        n = rng.randrange(0, 25)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randrange(min(len(pairs), 2 * n) + 1))))
+    graphs += [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(5, [(1, 3)])]
+    return graphs + [Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])]
+
+
+class TestBfs:
+    def test_every_source_matches_the_queue_oracle(self):
+        for g in bfs_corpus():
+            expected = [queue_bfs_distances(g, s) for s in range(g.n)]
+            for s in range(g.n):
+                got = bfs_distances(g, s)
+                assert got.dtype == np.int32 and got.tolist() == expected[s], (g.n, g.edges, s)
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 18])
+    def test_all_pairs_in_source_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_BFS_BLOCK", block)
+        disconnected = 0
+        for g in bfs_corpus():
+            expected = [queue_bfs_distances(g, s) for s in range(g.n)]
+            if g.n and min(expected[0]) < 0:
+                with pytest.raises(DisconnectedGraphError) as exc:
+                    all_pairs_distances(g)
+                assert exc.value.pair == (0, expected[0].index(-1))
+                disconnected += 1
+            else:
+                assert all_pairs_distances(g).a.tolist() == expected, g.edges
+        assert disconnected >= 100
+
+    def test_two_colouring_matches_the_queue_oracle(self):
+        flags = set()
+        for g in bfs_corpus():
+            expected = queue_two_colouring(g)
+            assert is_bipartite(g) == expected, (g.n, g.edges)
+            if g.n and min(queue_bfs_distances(g, 0)) >= 0:  # connected: the levels of row 0 decide alike
+                assert is_bipartite(g, bfs_distances(g, 0)) == expected
+            flags.add(expected[0])
+        assert flags == {True, False}
 
 
 def test_adjacency_rows_strictly_increase_from_shuffled_edges():

@@ -146,9 +146,7 @@ class TestThetaClasses:
 
 
 def one_bfs_labels(g, labeller=None):
-    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    ev = np.array([v for _, v in g.edges], dtype=np.int64)
-    return (labeller or theta_module._one_bfs_labels)(g, eu, ev, bfs_distances(g, 0))
+    return (labeller or theta_module._one_bfs_labels)(g, bfs_distances(g, 0))
 
 
 def bipartite_corpus():
@@ -171,8 +169,9 @@ class TestOneBfsLabels:
                 assert labelled is not None, g.edges  # every median graph takes it
             if labelled is None:
                 continue
-            classes, sides = labelled
-            assert classes == pairwise.classes
+            edge_class, sides = labelled
+            assert np.array_equal(edge_class, pairwise.edge_class)
+            assert ThetaClasses(g.n, g.eu, g.ev, edge_class, None).classes == pairwise.classes
             assert np.array_equal(sides, pairwise.sides)
             assert sides.flags.c_contiguous
             checked += 1
@@ -187,7 +186,7 @@ class TestOneBfsLabels:
             got, expected = one_bfs_labels(g), one_bfs_labels(g, all_parent_labels)
             assert (got is None) == (expected is None), g.edges
             if got is not None:
-                assert got[0] == expected[0]
+                assert np.array_equal(got[0], expected[0])
                 assert np.array_equal(got[1], expected[1])
                 kept += 1
         assert kept >= 280
@@ -203,7 +202,7 @@ class TestOneBfsLabels:
                 continue
             labelled = one_bfs_labels(g)
             if labelled is not None:
-                assert not is_partial_cube(g, d, ThetaClasses(g.n, *labelled)).is_partial_cube, g.edges
+                assert not is_partial_cube(g, d, ThetaClasses(g.n, g.eu, g.ev, *labelled)).is_partial_cube, g.edges
                 kept += 1
         assert kept >= 20
 
@@ -213,19 +212,28 @@ class TestOneBfsLabels:
         bfs_sources = []
 
         def refuse(*args):
-            raise AssertionError("per-class BFS or a separate connectivity BFS ran on a median graph")
+            raise AssertionError("all-pairs distances for per-class cuts ran on a median graph")
 
         def counted_bfs(graph, source):
             bfs_sources.append(source)
             return bfs_distances(graph, source)
 
-        monkeypatch.setattr(theta_module, "_closer_labels", refuse)
-        monkeypatch.setattr(theta_module, "is_connected", refuse)
+        monkeypatch.setattr(theta_module, "all_pairs_distances", refuse)
         monkeypatch.setattr(theta_module, "bfs_distances", counted_bfs)
         tc = theta_classes(g, method="crossing")
         assert bfs_sources == [0]
         assert tc.classes == expected.classes
         assert np.array_equal(tc.sides, expected.sides)
+
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    def test_sides_do_not_depend_on_the_transpose_block(self, monkeypatch, rows):
+        graphs = [grid(10, 10), tree(7, 60), hypercube(6), path(1)]
+        expected = [one_bfs_labels(g) for g in graphs]
+        monkeypatch.setattr(theta_module, "_TRANSPOSE_ROWS", rows)
+        for g, (edge_class, sides) in zip(graphs, expected):
+            got_class, got_sides = one_bfs_labels(g)
+            assert np.array_equal(got_class, edge_class)
+            assert got_sides.dtype == bool and np.array_equal(got_sides, sides)
 
     @pytest.mark.parametrize("method", ["crossing", "pairwise"])
     def test_disconnected_graph_is_refused(self, method):
@@ -244,9 +252,9 @@ class TestOneBfsLabels:
             assert is_partial_cube(g, d, expected).is_partial_cube
             assert median_classification(g, d).median_status != "median"
             assert one_bfs_labels(g) is None
-            tc = theta_classes(g, method="crossing")
-            assert tc.classes == expected.classes
-            assert np.array_equal(tc.sides, expected.sides)
+            for tc in (theta_classes(g, method="crossing"), theta_classes(g, d, method="crossing")):
+                assert tc.classes == expected.classes  # per-class cuts from computed or given distances
+                assert np.array_equal(tc.sides, expected.sides)
 
     def test_single_vertex(self):
         tc = theta_classes(complete(1), method="crossing")
@@ -301,7 +309,8 @@ class TestPairCounts:
         # three vertices of a 2-vertex graph, |S_i| + |S_j| - |S_i & S_j|
         # exceeds n and n00 comes out negative
         bad = np.array([[False, True, True, True]] * 2)
-        tc = ThetaClasses(n=2, classes=(((0, 1),), ((0, 1),)), sides=bad)
+        eu, ev = np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64)
+        tc = ThetaClasses(n=2, eu=eu, ev=ev, edge_class=np.arange(2), sides=bad)
         with pytest.raises(IntegralityError):
             pair_counts(tc)
 
@@ -519,17 +528,17 @@ class TestWedgeEnumeration:
         for g in graphs:
             if max(map(len, g.adjacency)) < 2:
                 continue  # no wedge: the next test
-            got = theta_module._common_neighbour_pairs(g.adjacency)
+            got = theta_module._common_neighbour_pairs(g)
             expected = wedge_pairs_per_vertex(g.adjacency)
             for x, y in zip(got, expected):
                 assert x.dtype == y.dtype
                 assert np.array_equal(x, y), g.edges
 
     def test_no_wedge_gives_empty_arrays_and_no_failure(self):
-        for adjacency in [(), ((),), ((1,), (0,)), ((1,), (0,), (3,), (2,))]:
-            pv, pw, count, centre = theta_module._common_neighbour_pairs(adjacency)
+        for g in [Graph.from_edges(0, []), Graph.from_edges(1, []), path(2), Graph.from_edges(4, [(0, 1), (2, 3)])]:
+            pv, pw, count, centre = theta_module._common_neighbour_pairs(g)
             assert pv.size == pw.size == count.size == centre.size == 0
-            a = np.zeros((len(adjacency), len(adjacency)), dtype=np.int64)
+            a = np.zeros((g.n, g.n), dtype=np.int64)
             assert theta_module._first_quadrangle_failure(a, pv, pw, count, centre) is None
 
 
