@@ -2,7 +2,10 @@
 
 Steiner distance of a terminal set S is the minimum edge count of a connected
 subgraph containing S. For k = 3 it is the minimum over branch vertices m of
-d(u,m) + d(v,m) + d(w,m); for larger k an exact subset dynamic program over
+d(u,m) + d(v,m) + d(w,m), where m need only run over u, v, w and the degree
+>= 3 vertices: a minimum Steiner tree has at most 3 leaves, all terminals, so
+it is a path through its middle terminal or a spider whose centre has degree
+3 (Hakimi 1971). For larger k an exact subset dynamic program over
 (terminal subset, attachment vertex) states is used.
 """
 
@@ -77,7 +80,7 @@ def steiner_distance(g, d, s):
     if k == 2:
         return d(terms[0], terms[1])
     if k == 3:
-        u, v, w = terms
+        u, v, w = terms  # every m, not the kernel's pruned set: this is the kernel's test oracle
         return int((d.row(u).astype(np.int64) + d.row(v) + d.row(w)).min())
     return _steiner_dw(d, terms)
 
@@ -106,16 +109,21 @@ _BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
 _HIST_BINS = 1 << 20  # histogram bins (3 max d + 1) the k = 3 kernel allocates at most
 
 
-def _triple_histogram(d):
+def _triple_histogram(d, branch):
     """Steiner distances of all vertex triples, tallied: hist[m] = #triples at m.
 
-    The branch vertex x runs along the leading axis. For each u the sums
-    d(x,u) + d(x,v), v > u, are added to d(x,w) in blocks of v, and the n
-    slabs (one per x) are minimised elementwise; the entries with w > v are
-    counted. The sums reach 3 max d and run in the narrowest signed dtype
-    that holds it (int8 to 127, int16 to 32767, else int32); a matrix whose
-    sums would overflow int32 is refused rather than wrapped, and one needing
-    over ``_HIST_BINS`` bins before they are allocated (n > max d on a graph).
+    d3(u,v,w) = min(P - max pair, min over x in ``branch`` of d(x,u) + d(x,v)
+    + d(x,w)), P the sum of the pair distances: a minimum Steiner tree has at
+    most 3 leaves, all terminals, so it is a path through its middle terminal
+    or a spider whose centre has degree 3 (``branch``: the degree >= 3
+    vertices as a mask or indices; None takes all). The first term fills a
+    [u, v, w] tensor per block of u; per u, the sums d(x,u) + d(x,v) + d(x,w),
+    x leading, are formed for blocks of v > u and their minimum over x lowers
+    it; the entries with u < v < w are counted. The sums reach 3 max d and
+    run in the narrowest signed dtype that holds it (int8 to 127, int16 to
+    32767, else int32); a matrix whose sums would overflow int32 is refused
+    rather than wrapped, and one needing over ``_HIST_BINS`` bins before they
+    are allocated (n > max d on a graph).
     """
     n = d.n
     top = 3 * int(d.a.max())
@@ -124,16 +132,25 @@ def _triple_histogram(d):
     if top >= _HIST_BINS:
         raise PreconditionError(f"distances up to {top // 3} need {top + 1} histogram bins > {_HIST_BINS}")
     a = d.a.astype(next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max))
+    x = a if branch is None else a[branch]
     hist = np.zeros(top + 1, dtype=np.int64)
-    for u in range(n - 2):
-        pair = a[:, u, None] + a[:, u + 1 :]  # [x, r]: d(x,u) + d(x,v), v = u + 1 + r
-        rows = max(1, _BLOCK_ELEMENTS // ((n - u) * n))
-        for r0 in range(0, n - u - 2, rows):
-            r1 = min(r0 + rows, n - u - 2)
-            third = a[:, u + 2 + r0 :]  # w from the block's first v + 1
-            dmin = (pair[:, r0:r1, None] + third[:, None, :]).min(axis=0)
-            keep = np.arange(third.shape[1]) >= np.arange(r1 - r0)[:, None]
-            hist += np.bincount(dmin[keep], minlength=top + 1)
+    step = max(1, _BLOCK_ELEMENTS // (4 * n * n))  # u rows per [u, v, w] block and its 3 temporaries
+    for u0 in range(0, n - 2, step):
+        u1 = min(n - 2, u0 + step)
+        auv, auw = a[u0:u1, u0 + 1 :, None], a[u0:u1, None, u0 + 1 :]
+        best = np.minimum(auv, auw)  # [i, j, l]: u = u0 + i, v = u0 + 1 + j, w = u0 + 1 + l
+        best += a[u0 + 1 :, u0 + 1 :]
+        np.minimum(best, auv + auw, out=best)
+        for i, u in enumerate(range(u0, u1) if len(x) else ()):
+            pair = x[:, u, None] + x[:, u + 1 :]  # [x, r]: d(x,u) + d(x,v), v = u + 1 + r
+            rows = max(1, _BLOCK_ELEMENTS // ((n - u) * len(x)))
+            for r0 in range(0, n - u - 2, rows):
+                r1 = min(r0 + rows, n - u - 2)
+                low = best[i, i + r0 : i + r1, i + 1 + r0 :]  # w from the block's first v + 1
+                np.minimum(low, (pair[:, r0:r1, None] + x[:, None, u + 2 + r0 :]).min(axis=0), out=low)
+        j = np.arange(n - u0 - 1)
+        keep = (np.arange(u1 - u0)[:, None, None] <= j[:, None]) & (j[:, None] < j)
+        hist += np.bincount(best[keep], minlength=top + 1)
     return hist
 
 
@@ -151,7 +168,11 @@ def steiner_hosoya(g, d, k, guard=None):
             "--force lifts it"
         )
     if k == 3:
-        hist = _triple_histogram(d).tolist()
+        adj = np.zeros((g.n, g.n), dtype=bool)
+        adj[g.eu, g.ev] = adj[g.ev, g.eu] = True
+        # a graph's distance matrix is 1 exactly at its edges, so d is g's if it is any graph's
+        branch = np.diff(g.indptr) >= 3 if np.array_equal(d.a == 1, adj) else None
+        hist = _triple_histogram(d, branch).tolist()
         return SteinerHosoya(k=3, coeffs={m: c for m, c in enumerate(hist) if c})
     coeffs = {}
     for s in combinations(range(g.n), k):

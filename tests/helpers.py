@@ -47,6 +47,20 @@ def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def chain_graph(chains):
+    """Hubs 0..h-1 joined by chains (a, b, length): a path of ``length`` edges
+    from hub a to hub b through new vertices, or to a new end vertex when b is
+    None. (0, 0, k) closes a k-cycle at hub 0."""
+    n = 1 + max(max(a, -1 if b is None else b) for a, b, _ in chains)
+    edges = []
+    for a, b, length in chains:
+        walk = [a, *range(n, n + length - (b is not None))]
+        n += len(walk) - 1
+        walk += [] if b is None else [b]
+        edges += zip(walk, walk[1:])
+    return Graph.from_edges(n, edges)
+
+
 def complete_bipartite(a, b):
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 

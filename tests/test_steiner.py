@@ -1,15 +1,19 @@
 """Steiner distances, the k-Hosoya polynomial, and the k-index computations."""
 
 import random
+import sys
 import time
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_steiner_by_subtrees,
+    chain_graph,
     complete,
     complete_bipartite,
     cycle,
@@ -25,6 +29,7 @@ from helpers import (
 )
 from steiner_indices import (
     DistanceMatrix,
+    Graph,
     PreconditionError,
     all_pairs_distances,
     count_medians,
@@ -180,9 +185,66 @@ def _kernel_corpus():
     return graphs
 
 
+def _spiders():
+    """K_{1,3} with legs of 1 to 4 edges: the three leg ends' optimum is the centre."""
+    legs = [(a, b, c) for a in range(1, 5) for b in range(a, 5) for c in range(b, 5)]
+    return [chain_graph([(0, None, leg) for leg in spider]) for spider in legs]
+
+
+def _pruning_corpus():
+    """Graphs whose branch vertices the pruned kernel must find or may skip:
+    spiders, stars, paths, seeded trees, cycles with pendant paths, and theta
+    graphs (long degree-2 chains between two hubs)."""
+    graphs = _spiders() + [star(m) for m in range(2, 9)] + [path(n) for n in range(3, 13)]
+    graphs += [tree(s, n) for s, n in ((1, 6), (2, 9), (3, 14), (4, 22), (5, 40))]
+    graphs += [chain_graph([(0, 0, k), (0, None, p)]) for k in (3, 4, 7) for p in (1, 3)]
+    graphs += [chain_graph([(0, 1, 3), (1, 0, 3), (0, None, 2), (1, None, 3)])]
+    thetas = ((1, 2, 2), (1, 3, 5), (2, 2, 3), (2, 4, 6), (3, 3, 3))
+    graphs += [chain_graph([(0, 1, p), (0, 1, q), (0, 1, r)]) for p, q, r in thetas]
+    return graphs
+
+
+def _all_x_hosoya(d):
+    """The k = 3 polynomial's coefficients as the minimum over every branch vertex x."""
+    a = d.a.astype(np.int64)
+    best = np.full((d.n,) * 3, np.iinfo(np.int64).max)
+    for x in a:  # best[u, v, w] = min over x of d(x,u) + d(x,v) + d(x,w)
+        np.minimum(best, x[:, None, None] + x[:, None] + x, out=best)
+    u, v, w = np.array(list(combinations(range(d.n), 3))).T
+    return {m: c for m, c in enumerate(np.bincount(best[u, v, w]).tolist()) if c}
+
+
+def _kernel_lines(g, d):
+    """steiner_hosoya at k = 3, and the number of lines the kernel executes in it."""
+    code, lines = steiner_module._triple_histogram.__code__, 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += frame.f_code is code and event == "line"
+        return trace if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        p = steiner_hosoya(g, d, 3)
+    finally:
+        sys.settrace(old)
+    return p, lines
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random labelled tree on 3..max_n vertices plus random chords."""
+    n = draw(st.integers(3, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
+    return Graph.from_edges(n, sorted(edges))
+
+
 class TestTripleKernel:
     def test_kernel_equals_per_triple_enumeration(self):
-        for g in _kernel_corpus():
+        for g in _kernel_corpus() + _pruning_corpus():
             d = all_pairs_distances(g)
             expected = enumerated_hosoya(g, d, 3)
             got = steiner_hosoya(g, d, 3)
@@ -190,7 +252,7 @@ class TestTripleKernel:
             assert steiner_k_indices_brute(g, d, 3) == indices_from_hosoya(expected)
 
     def test_kernel_equals_subtree_enumeration_on_small_graphs(self):
-        for g in _kernel_corpus():
+        for g in _kernel_corpus() + _pruning_corpus():
             if g.n > 9:
                 continue
             d = all_pairs_distances(g)
@@ -221,14 +283,52 @@ class TestTripleKernel:
             assert steiner_hosoya(path(n), d, 3).coeffs == expected
 
     def test_block_splits_leave_histograms_unchanged(self, monkeypatch):
-        graphs = _kernel_corpus()
+        graphs = _kernel_corpus() + _pruning_corpus()
+        degrees = [np.diff(g.indptr) for g in graphs]
+        assert any(deg.max() <= 2 for deg in degrees) and any(deg.max() >= 3 for deg in degrees)
         ds = [all_pairs_distances(g) for g in graphs]
         expected = [steiner_hosoya(g, d, 3).coeffs for g, d in zip(graphs, ds)]
         for g, d, coeffs in zip(graphs, ds, expected):
-            # one v row per step, then three rows at root 0, splitting its n - 2 rows
-            for block in (1, 3 * g.n * g.n):
+            # one v row per step, then three rows at root 0, splitting its n - 2
+            # rows; then three u rows per [u, v, w] block, splitting u's n - 2
+            for block in (1, 3 * g.n * g.n, 12 * g.n * g.n):
                 monkeypatch.setattr(steiner_module, "_BLOCK_ELEMENTS", block)
                 assert steiner_hosoya(g, d, 3).coeffs == coeffs, (g.edges, block)
+
+    def test_spider_centres_beat_every_terminal(self):
+        # the leg ends' optimum is the degree-3 centre alone; terminals cost more
+        for g in _spiders():
+            d = all_pairs_distances(g)
+            ends = [u for u in range(g.n) if g.degree(u) == 1]
+            assert steiner_distance(g, d, ends) == g.n - 1
+            pair_sum = sum(d(u, v) for u, v in combinations(ends, 2))
+            assert pair_sum - max(d(u, v) for u, v in combinations(ends, 2)) > g.n - 1
+
+    def test_pruning_needs_the_graph_of_the_distances(self):
+        # seed 6 is one of 7 in 200 where path(5)'s degrees (no branch vertex)
+        # miss the all-x minimum: the 1s of d are not path(5)'s edges, so every
+        # vertex stays a candidate
+        a = self._fabricated(random.Random(6), 5, 11_000, 21_999)
+        d = DistanceMatrix(a)
+        pruned = steiner_module._triple_histogram(d, np.zeros(5, dtype=bool)).tolist()
+        assert {m: c for m, c in enumerate(pruned) if c} != _all_x_hosoya(d)
+        assert steiner_hosoya(path(5), d, 3).coeffs == _all_x_hosoya(d)
+
+    def test_maximum_degree_two_skips_the_per_u_loop(self):
+        ring = cycle(80)
+        chorded = Graph.from_edges(80, ring.edges + ((0, 40),))  # two degree-3 vertices
+        for g, few in ((ring, True), (chorded, False)):
+            d = all_pairs_distances(g)
+            p, lines = _kernel_lines(g, d)
+            assert p.coeffs == _all_x_hosoya(d)
+            # a handful of lines per [u, v, w] block, and at least four per u in the loop
+            assert lines < 80 if few else lines > 4 * 78
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(connected_graphs())
+    def test_pruned_kernel_equals_the_all_x_minimum(self, g):
+        d = all_pairs_distances(g)
+        assert steiner_hosoya(g, d, 3).coeffs == _all_x_hosoya(d)
 
     @pytest.mark.parametrize("top", [42, 43, 10_922, 10_923])
     def test_dtype_switches_do_not_wrap(self, top):
