@@ -227,7 +227,7 @@ def _compute_value(an, index, k, method, guard):
             sw3, sww3 = modular_indices_3(an.d, an.moments, cls)
             return (sw3 if index == "sw" else sww3), "modular"
         if method == "modular":
-            raise not_modular_error(cls.witness)
+            raise not_modular_error(cls)
     if method == "modular":
         raise PreconditionError("modular formulas exist only for k = 3")
     return _brute_value(an, index, k, guard), "brute"

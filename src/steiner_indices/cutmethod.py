@@ -12,21 +12,25 @@ and every k on a tree (each edge is a class).
 
 from math import comb
 
-from .errors import PreconditionError, not_modular_error
+from .errors import DeferredPreconditionError, PreconditionError, not_modular_error
 from .steiner import check_k
+
+NOT_PARTIAL_CUBE = "graph is not a verified partial cube"
 
 
 def check_exact(n, m, k, classification):
     """Raise PreconditionError, naming the reason, unless the cut sums of a
-    connected graph with n vertices and m edges are SW_k and SWW_k."""
+    connected graph with n vertices and m edges are SW_k and SWW_k. At k = 3 a
+    non-modular graph is refused before ``partial_cube`` is read; the text,
+    built when read, names the first of the two checks that fails."""
     check_k(n, k)
+    if k == 3 and m != n - 1 and not classification.modular:
+        raise DeferredPreconditionError(
+            lambda: str(not_modular_error(classification)) if classification.partial_cube else NOT_PARTIAL_CUBE
+        )
     if not classification.partial_cube:
-        raise PreconditionError("graph is not a verified partial cube")
-    if k <= 2 or m == n - 1:
-        return
-    if k == 3:
-        if not classification.modular:
-            raise not_modular_error(classification.witness)
+        raise PreconditionError(NOT_PARTIAL_CUBE)
+    if k <= 3 or m == n - 1:
         return
     raise PreconditionError(
         f"the cut sums are exact at k = {k} only on trees: a Steiner tree may "

@@ -44,7 +44,21 @@ class IntegralityError(ArithmeticError):
     """
 
 
-def not_modular_error(witness):
-    """The refusal for a graph that is not modular, naming its witness triple."""
-    detail = f" (witness triple {','.join(map(str, witness))})" if witness else ""
-    return PreconditionError(f"graph is not modular{detail}")
+class DeferredPreconditionError(PreconditionError):
+    """A PreconditionError whose text the callable ``args[0]`` builds when it
+    is read, so that a refusal caught unread costs nothing to explain."""
+
+    def __str__(self):
+        return self.args[0]()
+
+
+def not_modular_error(classification):
+    """The refusal for a graph that is not modular, naming the witness triple
+    of ``classification``, which is searched only when the text is read."""
+
+    def text():
+        witness = classification.witness
+        detail = f" (witness triple {','.join(map(str, witness))})" if witness else ""
+        return f"graph is not modular{detail}"
+
+    return DeferredPreconditionError(text)

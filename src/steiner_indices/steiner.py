@@ -214,7 +214,7 @@ def modular_indices_3(d, m, classification):
     if n < 3:
         raise PreconditionError("modular k=3 formulas need at least three vertices")
     if not classification.modular:
-        raise not_modular_error(classification.witness)
+        raise not_modular_error(classification)
     sw3 = exact_div((n - 2) * m.wiener, 2)
     sww3 = exact_div(2 * (n - 2) * m.wiener + (n - 2) * m.sum_sq + m.sum_cross, 8)
     return sw3, sww3

@@ -7,10 +7,9 @@ two connected components (the class's sides), and the side bipartitions give
 an isometric hypercube embedding.
 """
 
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -71,27 +70,22 @@ def side_partition(g, cls):
     The row is True at the vertices outside the component of vertex 0. Raises
     NotPartialCubeClassError when the removal leaves != 2 components.
     """
-    removed = set()
-    for u, v in cls:
-        removed.add((u, v))
-        removed.add((v, u))
-    comp = [-1] * g.n
+    u, v = np.asarray(cls, dtype=np.int64).reshape(-1, 2).T
+    slot = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr  # sorted: rows in order, each sorted
+    keep = np.ones(g.nbr.size, dtype=bool)
+    keep[np.searchsorted(slot, np.r_[u * g.n + v, v * g.n + u])] = False  # both CSR slots of each class edge
+    indptr, nbr = np.r_[0, np.cumsum(keep)][g.indptr], g.nbr[keep]
+    dist = np.full(g.n, -1, dtype=np.int32)
     count = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if comp[w] < 0 and (u, w) not in removed:
-                    comp[w] = count
-                    queue.append(w)
-        count += 1
+    for root in range(g.n):
+        if dist[root] < 0:
+            _bfs(indptr, nbr, dist, [root])
+            count += 1
+            if count == 1:
+                far = dist < 0
     if count != 2:
         raise NotPartialCubeClassError(count)
-    return np.array(comp, dtype=bool)
+    return far
 
 
 def _attach_sides(g, tc):
@@ -343,6 +337,10 @@ def count_medians(d, u, v, w):
     return int(np.count_nonzero(ok))
 
 
+class _Deferred(partial):
+    """A classification field computed by calling it on its first read."""
+
+
 @dataclass(frozen=True)
 class GraphClassification:
     connected: bool
@@ -351,6 +349,13 @@ class GraphClassification:
     median_status: str  # median | modular_not_median | not_modular
     witness: Optional[tuple]
     theta: Optional[ThetaClasses] = field(default=None, compare=False, repr=False)  # confirmed partial-cube classes
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if type(value) is _Deferred:
+            value = value()
+            object.__setattr__(self, name, value)
+        return value
 
     @property
     def modular(self):
@@ -437,28 +442,45 @@ def median_classification(g, d=None, tc=None):
     starts at the first failing root, and at 0 when G is not bipartite.
     A bipartite G is a partial cube iff ``tc``, by default its crossing
     classes (which every partial cube has), labels it isometrically.
+
+    Three arguments spare work that decides nothing:
+    - A wedge pair with N(v) in N(w) never fails the quadrangle condition: at
+      a root u with d(u,v) = d(u,w) = k >= 1, the neighbour of v on a u-v
+      geodesic is a common neighbour at distance k - 1. Only the other pairs
+      are tested, so the first failing root is unchanged.
+    - In a bipartite G, a pair with three common neighbours spans an induced
+      K_{2,3}, isometric since its distances are 1 and 2. An isometric
+      subgraph of a partial cube is one (Mulder 1980), and K_{2,3} is not.
+    - The witness, and the partial-cube verdict and classes of a not_modular
+      graph, are computed on first read; ``compute`` rarely reads them.
     """
     if d is None:
         d = _connected_distances(g, "median_classification")
     bip, _ = is_bipartite(g, d.row(0) if g.n else None)  # the BFS levels from vertex 0
     if g.n < 3:
         return GraphClassification(True, bip, g.n >= 1, "median", None)
-    if tc is None and bip:
-        with suppress(PreconditionError):
-            tc = theta_classes(g, d, method="crossing")
-    if tc is not None and not is_partial_cube(g, d, tc, bip).is_partial_cube:
-        tc = None
+
+    @cache
+    def verified():  # of a bipartite g: tc, by default its crossing classes, if they label g isometrically
+        t = tc
+        if t is None:
+            with suppress(PreconditionError):
+                t = theta_classes(g, d, method="crossing")
+        return t if t is not None and is_partial_cube(g, d, t, True).is_partial_cube else None
 
     if not bip:
-        status, root = "not_modular", 0
+        status, root, k23 = "not_modular", 0, False
     else:
         pv, pw, count, centre = _common_neighbour_pairs(g)
-        root = _first_quadrangle_failure(d.a, pv, pw, count, centre)
-        if root is not None:
-            status = "not_modular"
-        elif (count >= 3).any():
-            status, root = "modular_not_median", 0
-        else:
-            return GraphClassification(True, bip, tc is not None, "median", None, tc)
-    witness = _first_triple(d.a, root, status == "not_modular")
-    return GraphClassification(True, bip, tc is not None, status, witness, tc)
+        k23 = bool((count >= 3).any())
+        deg = np.diff(g.indptr)
+        keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
+        root = _first_quadrangle_failure(d.a, pv[keep], pw[keep], count[keep], centre[np.repeat(keep, count)])
+        if root is None and not k23:
+            return GraphClassification(True, bip, verified() is not None, "median", None, verified())
+        status, root = ("modular_not_median", 0) if root is None else ("not_modular", root)
+    witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
+    if not bip or k23:
+        return GraphClassification(True, bip, False, status, witness)
+    partial_cube = _Deferred(lambda: verified() is not None)
+    return GraphClassification(True, bip, partial_cube, status, witness, _Deferred(verified))

@@ -76,6 +76,19 @@ def prism(k):
     return Graph.from_edges(2 * k, sorted(tuple(sorted(e)) for e in edges))
 
 
+def hung_k23(m):
+    """The m x m grid with a K_{2,3} hung at its last vertex: hubs m*m - 1 and
+    m*m, leaves m*m + 1 .. m*m + 3. Modular but not median, and its first
+    triple with two medians is the three leaves."""
+    h = m * m
+    g = grid(m, m)
+    return Graph.from_edges(h + 4, g.edges + tuple((hub, leaf) for hub in (h - 1, h) for leaf in range(h + 1, h + 4)))
+
+
+def edge_list_text(g):
+    return f"{g.n} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+
+
 def random_connected_graph(rng, n, extra_edges):
     """Random labeled tree plus extra random edges; always connected."""
     t = tree(rng.randrange(10**9), n)
@@ -238,6 +251,22 @@ def triple_scan_classification(d):
         if count >= 2 and witness is None:
             status, witness = "modular_not_median", (u, v, w)
     return status, witness
+
+
+def median_count_classification(d):
+    """(median_status, witness) as triple_scan_classification gives it, from
+    one (n, n, n) array of median counts built from the definition: x is a
+    median of (u, v, w) iff it lies on a geodesic between each two of them."""
+    a = d.a
+    on = a[:, None, :] + a[None, :, :] == a[:, :, None]  # [u, v, x]: d(u,x) + d(x,v) == d(u,v)
+    counts = (on[:, :, None, :] & on[:, None, :, :] & on[None, :, :, :]).sum(axis=3)
+    u, v, w = np.indices(counts.shape)
+    triples = (u < v) & (v < w)
+    for status, hit in (("not_modular", counts == 0), ("modular_not_median", counts >= 2)):
+        first = np.argwhere(triples & hit)  # in lexicographic order
+        if first.size:
+            return status, tuple(first[0].tolist())
+    return "median", None
 
 
 def enumerated_hosoya(g, d, k):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import steiner_indices
-from helpers import complete, complete_bipartite, cycle, grid
+from helpers import complete, complete_bipartite, cycle, edge_list_text, grid, hung_k23, random_connected_graph
 from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor
 from steiner_indices.cli import main
 
@@ -298,6 +298,74 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--gen", "cycle:400", "--index", "sw", "--k", "5")
         assert code == 2
         assert "--force lifts it" in err
+
+
+def _random_non_bipartite_graph():
+    import random
+
+    g = random_connected_graph(random.Random(5), 30, 12)
+    assert not steiner_indices.is_bipartite(g)[0]
+    return g
+
+
+class TestDeferredClassification:
+    @pytest.mark.parametrize(
+        "g,expected",
+        [(cycle(8), "sww3 = 480\nmethod = brute"), (_random_non_bipartite_graph(), "sww3 = 73068\nmethod = brute"),
+         (complete_bipartite(2, 5), "sww3 = 135\nmethod = modular"),
+         (hung_k23(20), "sww3 = 2560671415\nmethod = modular")],
+        ids=["C8", "random", "K25", "grid20-k23"],
+    )
+    def test_compute_never_searches_a_witness(self, capsys, tmp_path, monkeypatch, g, expected):
+        # every value is brute force's
+        from steiner_indices import theta
+
+        def refuse(*args):
+            raise AssertionError("compute searched a witness it does not print")
+
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(g))
+        monkeypatch.setattr(theta, "_first_triple", refuse)
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0, err
+        assert expected in out
+
+    def test_even_cycle_at_k3_skips_the_partial_cube_check(self, capsys, tmp_path, monkeypatch):
+        from steiner_indices import theta
+
+        def refuse(*args):
+            raise AssertionError("the partial-cube verdict was computed at k = 3")
+
+        f = tmp_path / "c8.txt"
+        f.write_text(edge_list_text(cycle(8)))
+        for name in ("_first_triple", "_theta_classes_crossing", "is_partial_cube"):
+            monkeypatch.setattr(theta, name, refuse)
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0, err
+        assert "sww3 = 480" in out and "method = brute" in out
+
+    def test_hung_k23_witness_is_its_leaves(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(hung_k23(4)))
+        code, out, _ = run(capsys, "classify", "--input", str(f))
+        assert code == 0
+        assert "median_status = modular_not_median" in out and "witness = 17,18,19" in out
+
+    @pytest.mark.parametrize(
+        "g,text",
+        [(cycle(8), "graph is not modular (witness triple 0,2,5)"),
+         (complete(4), "graph is not a verified partial cube"),
+         (complete_bipartite(2, 5), "graph is not a verified partial cube"),
+         (Graph.from_edges(7, [(0, 2), (0, 4), (1, 3), (1, 6), (2, 6), (3, 4), (3, 5), (5, 6)]),
+          "graph is not a verified partial cube")],  # bipartite, not modular, no K_{2,3}
+        ids=["C8", "K4", "K25", "bipartite7"],
+    )
+    def test_cut_refusals_keep_their_text(self, capsys, tmp_path, g, text):
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(g))
+        for index in ("sw", "sww"):
+            code, _, err = run(capsys, "compute", "--input", str(f), "--index", index, "--method", "cut")
+            assert (code, err) == (2, f"error = {text}\n")
 
 
 class TestClassify:

@@ -1,11 +1,15 @@
 """Theta relation, Theta*-classes, side structure, and classification."""
 
 import random
+from functools import cache
 from itertools import combinations
 from math import comb
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_parent_labels,
@@ -16,6 +20,7 @@ from helpers import (
     grid,
     hypercube,
     induced_subgraph,
+    median_count_classification,
     path,
     prism,
     quadrant_histogram,
@@ -516,6 +521,137 @@ class TestMedianClassification:
         cls = median_classification(g, d)
         assert (cls.median_status, cls.witness) == ("not_modular", (3, 5, 6))
         assert triple_scan_classification(d) == ("not_modular", (3, 5, 6))
+
+
+@cache
+def theorem_corpus():
+    """(g, d) over ``classification_corpus`` and 1500 seeded random bipartite graphs."""
+    rng = random.Random(1301)
+    graphs = classification_corpus()
+    graphs += [random_bipartite_graph(rng, rng.randrange(3, 14), rng.randrange(0, 14)) for _ in range(1500)]
+    return [(g, all_pairs_distances(g)) for g in graphs]
+
+
+def bipartite_theorem_corpus():
+    return [(g, d) for g, d in theorem_corpus() if g.n >= 3 and is_bipartite(g)[0]]
+
+
+class TestClassificationShortcuts:
+    def test_dominated_pairs_are_dropped_and_never_fail(self, monkeypatch):
+        real, tested = theta_module._first_quadrangle_failure, []
+        monkeypatch.setattr(theta_module, "_first_quadrangle_failure", lambda a, *pairs: tested.append(pairs) or real(a, *pairs))
+        dropped = failing = 0
+        for g, d in bipartite_theorem_corpus():
+            tested.clear()
+            median_classification(g, d)
+            (pv, pw, count, centre), = tested
+            pairs = theta_module._common_neighbour_pairs(g)
+            nb = [set(row) for row in g.adjacency]
+            nested = [(v, w) for v, w in zip(*pairs[:2]) if nb[v] <= nb[w] or nb[w] <= nb[v]]
+            assert set(zip(pv.tolist(), pw.tolist())) == set(zip(*pairs[:2])) - set(nested), g.edges
+            kept_centres = np.split(centre, np.cumsum(count)[:-1]) if count.size else []
+            assert [sorted(c.tolist()) for c in kept_centres] == [sorted(nb[v] & nb[w]) for v, w in zip(pv, pw)]
+            for v, w in nested:  # the theorem itself, at every root
+                closer = (d.a[:, sorted(nb[v] & nb[w])] < d.a[:, [v]]).any(axis=1)
+                assert not ((d.a[:, v] == d.a[:, w]) & ~closer).any(), (g.edges, v, w)
+            root = real(d.a, *pairs)
+            assert real(d.a, pv, pw, count, centre) == root, g.edges
+            dropped += len(nested)
+            failing += root is not None
+        assert dropped > 0 and failing > 0
+
+    def test_complete_bipartite_graphs_test_no_pair(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(theta_module, "_first_quadrangle_failure", lambda a, pv, *rest: tested.append(pv.size))
+        for a, m in [(1, 5), (2, 2), (2, 7), (3, 3), (3, 6)]:
+            median_classification(complete_bipartite(a, m))
+        assert tested == [0] * 5
+
+    def test_three_common_neighbours_rule_out_a_partial_cube(self, monkeypatch):
+        k23 = [(g, d) for g, d in bipartite_theorem_corpus() if (theta_module._common_neighbour_pairs(g)[2] >= 3).any()]
+        assert len(k23) > 100
+        for g, d in k23:
+            assert not is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube, g.edges
+        statuses = [median_count_classification(d) for _, d in k23]
+        assert {status for status, _ in statuses} == {"modular_not_median", "not_modular"}
+
+        def refuse(*args):
+            raise AssertionError("a partial-cube check ran on a graph with an induced K_{2,3}")
+
+        monkeypatch.setattr(theta_module, "_theta_classes_crossing", refuse)
+        monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
+        for (g, d), expected in zip(k23, statuses):
+            cls = median_classification(g, d)
+            assert not cls.partial_cube and cls.theta is None
+            assert (cls.median_status, cls.witness) == expected
+
+    def test_status_and_witness_equal_the_median_count_oracle(self):
+        seen = set()
+        for g, d in theorem_corpus():
+            cls = median_classification(g, d)
+            assert (cls.median_status, cls.witness) == median_count_classification(d), g.edges
+            seen.add(cls.median_status)
+        assert seen == {"median", "modular_not_median", "not_modular"}
+
+    def test_median_count_oracle_equals_the_triple_scan(self):
+        for g in classification_corpus()[::5]:
+            d = all_pairs_distances(g)
+            assert median_count_classification(d) == triple_scan_classification(d), g.edges
+
+    def test_witness_and_verdict_are_computed_on_first_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed before it was read")
+
+        expected = [median_classification(g) for g in (cycle(8), complete(4), complete_bipartite(2, 5))]
+        monkeypatch.setattr(theta_module, "_first_triple", refuse)
+        monkeypatch.setattr(theta_module, "_theta_classes_crossing", refuse)
+        monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
+        c8, k4, k25 = (median_classification(g) for g in (cycle(8), complete(4), complete_bipartite(2, 5)))
+        assert (c8.median_status, k4.median_status, k25.median_status) == ("not_modular", "not_modular", "modular_not_median")
+        assert not k4.partial_cube and not k25.partial_cube
+        monkeypatch.undo()
+        assert [c8, k4, k25] == expected
+        assert c8.partial_cube and c8.theta.class_count == 4 and c8.witness == (0, 2, 5)
+
+
+@st.composite
+def connected_bipartite_graphs(draw, max_n=12):
+    """A random labelled tree on 3..max_n vertices plus chords joining its two colours."""
+    n = draw(st.integers(3, max_n))
+    parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    depth = [0]
+    for p in parent:
+        depth.append(depth[p] + 1)
+    edges = {(p, v) for v, p in enumerate(parent, start=1)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if (depth[u] - depth[v]) % 2}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_bipartite_graphs())
+def test_classification_equals_the_triple_scan_and_the_pairwise_partial_cube_check(g):
+    d = all_pairs_distances(g)
+    cls = median_classification(g, d)
+    assert (cls.median_status, cls.witness) == triple_scan_classification(d)
+    assert cls.partial_cube == is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube
+
+
+def test_side_partition_equals_the_components_left_by_the_class():
+    for g in classification_corpus()[::3]:
+        nxg = nx.Graph(g.edges)
+        nxg.add_nodes_from(range(g.n))
+        for cls in theta_classes(g).classes:
+            rest = nxg.copy()
+            rest.remove_edges_from(cls)
+            count = nx.number_connected_components(rest)
+            if count != 2:
+                with pytest.raises(NotPartialCubeClassError) as exc:
+                    side_partition(g, cls)
+                assert exc.value.component_count == count
+                continue
+            near = nx.node_connected_component(rest, 0)
+            assert side_partition(g, cls).tolist() == [v not in near for v in range(g.n)]
 
 
 class TestWedgeEnumeration:
