@@ -71,9 +71,8 @@ def side_partition(g, cls):
     NotPartialCubeClassError when the removal leaves != 2 components.
     """
     u, v = np.asarray(cls, dtype=np.int64).reshape(-1, 2).T
-    slot = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr  # sorted: rows in order, each sorted
-    keep = np.ones(g.nbr.size, dtype=bool)
-    keep[np.searchsorted(slot, np.r_[u * g.n + v, v * g.n + u])] = False  # both CSR slots of each class edge
+    slot = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr  # (row, neighbour) of each CSR slot
+    keep = ~np.isin(slot, np.r_[u * g.n + v, v * g.n + u])  # both slots of each class edge go
     indptr, nbr = np.r_[0, np.cumsum(keep)][g.indptr], g.nbr[keep]
     dist = np.full(g.n, -1, dtype=np.int32)
     count = 0
