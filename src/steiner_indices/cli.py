@@ -10,7 +10,7 @@ import json
 import os
 import sys
 import time
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
@@ -65,74 +65,57 @@ class Analysis:
     def __init__(self, g, desc):
         self.g = g
         self.desc = desc
-        self._d = None
-        self._tc = None
-        self._pc = None
-        self._classification = None
-        self._moments = None
 
-    @property
+    @cached_property
     def d(self):
-        if self._d is None:
-            from .graph import all_pairs_distances
+        from .graph import all_pairs_distances
 
-            self._d = all_pairs_distances(self.g)
-        return self._d
+        return all_pairs_distances(self.g)
 
-    @property
+    @cached_property
     def moments(self):
-        if self._moments is None:
-            from .graph import distance_moments
+        from .graph import distance_moments
 
-            self._moments = distance_moments(self.d)
-        return self._moments
+        return distance_moments(self.d)
 
-    @property
+    @cached_property
     def classification(self):
-        if self._classification is None:
-            from .errors import PreconditionError
-            from .generators import family_classification
-            from .theta import median_classification
+        from .errors import PreconditionError
+        from .generators import family_classification
+        from .theta import median_classification
 
-            if self.desc is not None:
-                known = family_classification(self.desc)
-                if known is not None:
-                    self._classification = known
-                    return known
-            if self.g.n > CLASSIFY_LIMIT:
-                raise PreconditionError(
-                    f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
-                    "all-pairs distances; only generated median families are supported at this size"
-                )
-            self._classification = median_classification(self.g, self.d)
-        return self._classification
+        if self.desc is not None:
+            known = family_classification(self.desc)
+            if known is not None:
+                return known
+        if self.g.n > CLASSIFY_LIMIT:
+            raise PreconditionError(
+                f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
+                "all-pairs distances; only generated median families are supported at this size"
+            )
+        return median_classification(self.g, self.d)
 
-    @property
+    @cached_property
     def theta(self):
-        if self._tc is None:
-            from .errors import PreconditionError
-            from .theta import theta_classes
+        from .errors import PreconditionError
+        from .theta import theta_classes
 
-            cls = self.classification
-            if cls.partial_cube:
-                # classified graphs keep the classes is_partial_cube confirmed; a
-                # generated median family is labelled by one BFS, no APSP needed
-                self._tc = cls.theta or theta_classes(self.g, method="crossing")
-                return self._tc
-            if self.g.size > PAIRWISE_EDGE_LIMIT:
-                raise PreconditionError(
-                    f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
-                )
-            self._tc = theta_classes(self.g, self.d)
-        return self._tc
+        cls = self.classification
+        if cls.partial_cube:
+            # classified graphs keep the classes is_partial_cube confirmed; a
+            # generated median family is labelled by one BFS, no APSP needed
+            return cls.theta or theta_classes(self.g, method="crossing")
+        if self.g.size > PAIRWISE_EDGE_LIMIT:
+            raise PreconditionError(
+                f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
+            )
+        return theta_classes(self.g, self.d)
 
-    @property
+    @cached_property
     def pairs(self):
-        if self._pc is None:
-            from .theta import pair_counts
+        from .theta import pair_counts
 
-            self._pc = pair_counts(self.theta)
-        return self._pc
+        return pair_counts(self.theta)
 
 
 def _formula_result(an, index, k):

@@ -57,11 +57,18 @@ class ThetaClasses:
         ends = np.cumsum(np.bincount(self.edge_class, minlength=self.class_count)).tolist()
         return tuple(tuple(edges[a:b]) for a, b in zip([0] + ends, ends))
 
-    @property
-    def side_counts(self):
+    @cached_property
+    def side_sizes(self):
+        """Read-only int64 array of the size of side 1 of each class."""
         if self.sides is None:
             raise PreconditionError("side partitions unavailable: not a partial-cube class structure")
-        return tuple((self.n - s1, s1) for s1 in self.sides.sum(axis=1).tolist())
+        s1 = self.sides.sum(axis=1)
+        s1.flags.writeable = False
+        return s1
+
+    @property
+    def side_counts(self):
+        return tuple((self.n - s1, s1) for s1 in self.side_sizes.tolist())
 
 
 def side_partition(g, cls):
@@ -124,7 +131,6 @@ def _theta_classes_pairwise(g, d):
 
 
 _GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and the flip check
-_TRANSPOSE_ROWS = 1 << 12  # label rows transposed per step into the side matrix
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
 
@@ -145,6 +151,9 @@ def _one_bfs_labels(g, dist):
     2008), so the gate z of a class's far side H has a single parent (a class
     is a matching), while a single-parent v in H other than z would have that
     parent on a geodesic through z, inside H. So the openers are the gates.
+
+    Labels are little-endian uint64 words: coordinate b is bit b & 63 of word
+    b >> 6, which is bit b & 7 of byte b >> 3 of the row.
     """
     eu, ev = g.eu, g.ev
     down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]  # same-level edges fail the flip check
@@ -156,24 +165,26 @@ def _one_bfs_labels(g, dist):
     p1, p2 = parent[first], parent[first + npar - 1]
     order = np.argsort(dist, kind="stable")  # by level, then vertex id
     opener = order[npar[order] == 1]
-    labels = np.zeros((g.n, opener.size), dtype=bool)
-    labels[opener, np.arange(opener.size)] = True
+    coord = np.arange(opener.size)
+    labels = np.zeros((g.n, max(1, -(-opener.size // 64))), dtype="<u8")  # one word at least: c may be 0
+    labels[opener, coord >> 6] = np.uint64(1) << (coord & 63).astype(np.uint64)
     level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
     for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
         v = order[lo:hi]
         labels[v] |= labels[p1[v]] | labels[p2[v]]
     flips = np.empty(eu.size, dtype=np.int64)
-    step = max(1, _GRAM_BLOCK // max(labels.shape[1], 1))
+    step = max(1, _GRAM_BLOCK // labels.shape[1])
     for lo in range(0, eu.size, step):
-        x = labels[eu[lo : lo + step]] != labels[ev[lo : lo + step]]
-        if (np.count_nonzero(x, axis=1) != 1).any():
-            return None
-        flips[lo : lo + step] = x.argmax(axis=1)
+        x = labels[eu[lo : lo + step]] ^ labels[ev[lo : lo + step]]
+        w = x.max(axis=1)
+        if (np.count_nonzero(x, axis=1) != 1).any() or (w & (w - np.uint64(1))).any():
+            return None  # one flipped coordinate: exactly one nonzero word, and it is a power of two
+        flips[lo : lo + step] = 64 * x.argmax(axis=1) + np.frexp(w.astype(np.float64))[1] - 1  # exact: w = 2^b
     rank = np.argsort(np.unique(flips, return_index=True)[1])  # class i is coordinate rank[i]
-    sides = np.empty((rank.size, g.n), dtype=bool)
-    for lo in range(0, g.n, _TRANSPOSE_ROWS):  # row blocks: one transpose of labels[:, rank] thrashes the cache
-        sides[:, lo : lo + _TRANSPOSE_ROWS] = labels[lo : lo + _TRANSPOSE_ROWS, rank].T
-    return np.argsort(rank)[flips], sides
+    sides = np.ascontiguousarray(labels.view(np.uint8).T)[rank >> 3]  # (d, n) bytes holding bit rank & 7
+    sides >>= (rank & 7).astype(np.uint8)[:, None]
+    sides &= 1
+    return np.argsort(rank)[flips], sides.view(bool)
 
 
 def _connected_distances(g, caller):
@@ -261,7 +272,7 @@ def pair_counts(tc):
     if n >= _FLOAT32_EXACT:
         raise PreconditionError(f"pair_counts needs n < 2^24 for an exact float32 Gram, got n={n}")
     member = tc.sides.astype(np.float32)
-    s1 = tc.sides.sum(axis=1)
+    s1 = tc.side_sizes
     d = s1.size
     hist = np.zeros(n + 1, dtype=np.int64)
     rows = max(1, _GRAM_BLOCK // max(d, 1))

@@ -194,7 +194,7 @@ def all_parent_labels(g, dist):
     flip = labels[eu] != labels[ev]
     if (flip.sum(axis=1) != 1).any():
         return None
-    flips = flip.argmax(axis=1)
+    flips = np.nonzero(flip)[1]  # one True per row, in row order
     coords = sorted(set(flips.tolist()), key=lambda c: int(np.argmax(flips == c)))  # by first edge
     rank = {c: i for i, c in enumerate(coords)}
     return np.array([rank[c] for c in flips.tolist()], dtype=np.int64), labels.T[coords]

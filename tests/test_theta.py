@@ -1,6 +1,7 @@
 """Theta relation, Theta*-classes, side structure, and classification."""
 
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -230,15 +231,29 @@ class TestOneBfsLabels:
         assert tc.classes == expected.classes
         assert np.array_equal(tc.sides, expected.sides)
 
-    @pytest.mark.parametrize("rows", [1, 3, 50])
-    def test_sides_do_not_depend_on_the_transpose_block(self, monkeypatch, rows):
-        graphs = [grid(10, 10), tree(7, 60), hypercube(6), path(1)]
-        expected = [one_bfs_labels(g) for g in graphs]
-        monkeypatch.setattr(theta_module, "_TRANSPOSE_ROWS", rows)
-        for g, (edge_class, sides) in zip(graphs, expected):
-            got_class, got_sides = one_bfs_labels(g)
-            assert np.array_equal(got_class, edge_class)
-            assert got_sides.dtype == bool and np.array_equal(got_sides, sides)
+    @pytest.mark.parametrize("coords", [0, 1, 63, 64, 65, 128, 129])
+    def test_word_boundaries_equal_the_all_parent_oracle(self, coords):
+        # a tree on c + 1 vertices has c coordinates, 64 to a packed word
+        for g in (path(coords + 1), tree(coords + 3, coords + 1)):
+            edge_class, sides = one_bfs_labels(g)
+            expected_class, expected_sides = one_bfs_labels(g, all_parent_labels)
+            assert np.array_equal(edge_class, expected_class)
+            assert sides.shape == (coords, g.n)
+            assert sides.dtype == bool and sides.flags.c_contiguous
+            assert np.array_equal(sides, expected_sides)
+
+    def test_tree_label_memory_is_near_the_side_matrix(self):
+        # the (d, n) bool side matrix it returns is 2999 x 3000 bytes, 9 MB,
+        # and the bound is 1.5x that: the labels are far smaller than it
+        g = tree(7, 3000)
+        dist = bfs_distances(g, 0)
+        tracemalloc.start()
+        try:
+            theta_module._one_bfs_labels(g, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     @pytest.mark.parametrize("method", ["crossing", "pairwise"])
     def test_disconnected_graph_is_refused(self, method):
@@ -300,6 +315,17 @@ class TestSidePartition:
         _, tc = analyzed(g)
         for n0, n1 in tc.side_counts:
             assert n0 + n1 == g.n
+
+    def test_side_sizes_are_counted_once(self):
+        _, tc = analyzed(grid(4, 5))
+        assert "side_sizes" not in vars(tc)
+        pair_counts(tc)
+        sizes = vars(tc)["side_sizes"]  # cached by pair_counts, then read by side_counts
+        assert tc.side_sizes is sizes and not sizes.flags.writeable
+        assert sizes.tolist() == tc.sides.sum(axis=1).tolist() == [s1 for _, s1 in tc.side_counts]
+        k3 = complete(3)
+        with pytest.raises(PreconditionError, match="side partitions unavailable"):
+            ThetaClasses(3, k3.eu, k3.ev, np.zeros(3, dtype=np.int64), None).side_counts
 
 
 class TestPairCounts:
