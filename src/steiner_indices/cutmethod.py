@@ -57,7 +57,8 @@ def cut_report(tc, pc, k, classification):
     sw = d * total - unsplit
     if pc is None:
         return sw, None
-    in_quadrant = sum(count * comb(v, k) for v, count in enumerate(pc.tolist()) if count)
+    (bins,) = pc.nonzero()
+    in_quadrant = sum(count * comb(v, k) for v, count in zip(bins.tolist(), pc[bins].tolist()))
     return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + in_quadrant
 
 

@@ -41,7 +41,7 @@ class Graph:
             e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError:  # an endpoint beyond int64 is out of range; find it exactly
             e = np.asarray(edges, dtype=object).reshape(-1, 2)
-        lo, hi = e.min(axis=1), e.max(axis=1)
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         key = lo * n + hi  # unique per in-range edge; a clash with an out-of-range one flags no earlier edge
         order = np.argsort(key, kind="stable")
         dup = np.zeros(len(e), dtype=bool)

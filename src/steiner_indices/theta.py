@@ -10,6 +10,7 @@ an isometric hypercube embedding.
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,9 @@ class ThetaClasses:
     on first use. ``sides`` is a read-only (d, n) bool matrix: ``sides[i, v]``
     is True iff v lies in side 1 of class i, and side 0 holds vertex 0. It is
     None when some class does not split the graph into exactly two components.
+    A one-BFS labelling also gives ``gates``, the vertex that opened each
+    class, and ``crossings``, a (2, c) array whose columns are its crossing
+    class pairs (i < j, sorted); both are None from the other methods.
     """
 
     n: int
@@ -41,10 +45,13 @@ class ThetaClasses:
     ev: np.ndarray
     edge_class: np.ndarray
     sides: Optional[np.ndarray]
+    gates: Optional[np.ndarray] = None
+    crossings: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.sides is not None:
-            self.sides.flags.writeable = False
+        for a in (self.sides, self.gates, self.crossings):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def class_count(self):
@@ -59,10 +66,12 @@ class ThetaClasses:
 
     @cached_property
     def side_sizes(self):
-        """Read-only int64 array of the size of side 1 of each class."""
+        """Read-only int32 array of the size of side 1 of each class: an int32
+        accumulator sums the bool bytes twice as fast as int64, and is exact
+        while n < 2^31."""
         if self.sides is None:
             raise PreconditionError("side partitions unavailable: not a partial-cube class structure")
-        s1 = self.sides.sum(axis=1)
+        s1 = self.sides.sum(axis=1, dtype=np.int32)
         s1.flags.writeable = False
         return s1
 
@@ -131,12 +140,14 @@ def _theta_classes_pairwise(g, d):
 
 
 _GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and the flip check
+_GRAM_SMALL = 1 << 22  # d * d * n up to which pair_counts forms the Gram even with a labelling
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
 
 def _one_bfs_labels(g, dist):
     """Theta labelling from one BFS from vertex 0 (``dist``) as (edge class,
-    sides), or None if some edge does not flip exactly one coordinate.
+    sides, gates, crossings), or None if some edge does not flip exactly one
+    coordinate.
 
     A vertex's label L(v) is L(p1) | L(p2) for two of its BFS parents (p2 = p1
     for a single parent, which also opens a new coordinate). Kept on a partial
@@ -152,39 +163,60 @@ def _one_bfs_labels(g, dist):
     is a matching), while a single-parent v in H other than z would have that
     parent on a geodesic through z, inside H. So the openers are the gates.
 
+    ``gates[i]`` is the vertex that opened class i. ``crossings`` is a (2, c)
+    array whose columns are the distinct class pairs (i < j, sorted) of the
+    first- and last-parent edges of a vertex with two or more parents; by
+    facts (a) and (b) of ``pair_counts`` the gates decide nesting and these
+    are the crossing pairs of the sides.
+
     Labels are little-endian uint64 words: coordinate b is bit b & 63 of word
     b >> 6, which is bit b & 7 of byte b >> 3 of the row.
     """
     eu, ev = g.eu, g.ev
     down, up = dist[eu] != dist[ev], dist[eu] > dist[ev]  # same-level edges fail the flip check
     child = np.where(up, eu, ev)[down]
-    parent = np.where(up, ev, eu)[down][np.argsort(child, kind="stable")]
-    parent = np.r_[parent, 0]  # sentinel: parent[first[0]] must exist, though the root has no parent
+    by_child = np.argsort(child, kind="stable")
+    parent = np.concatenate((np.where(up, ev, eu)[down][by_child], [0]))  # sentinel: parent[first[0]] must exist
+    edge = np.concatenate((down.nonzero()[0][by_child], [0]))  # the edge from each parent to its child
     npar = np.bincount(child, minlength=g.n)
     first = np.cumsum(npar) - npar  # parents of v: parent[first[v] : first[v] + npar[v]]
-    p1, p2 = parent[first], parent[first + npar - 1]
+    last = first + npar - 1
+    p1, p2 = parent[first], parent[last]
     order = np.argsort(dist, kind="stable")  # by level, then vertex id
     opener = order[npar[order] == 1]
     coord = np.arange(opener.size)
-    labels = np.zeros((g.n, max(1, -(-opener.size // 64))), dtype="<u8")  # one word at least: c may be 0
+    words = max(1, -(-opener.size // 64))  # one word at least: c may be 0
+    labels = np.zeros((g.n, words), dtype="<u8")
     labels[opener, coord >> 6] = np.uint64(1) << (coord & 63).astype(np.uint64)
     level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
     for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
         v = order[lo:hi]
         labels[v] |= labels[p1[v]] | labels[p2[v]]
     flips = np.empty(eu.size, dtype=np.int64)
-    step = max(1, _GRAM_BLOCK // labels.shape[1])
+    step = max(1, _GRAM_BLOCK // words)
     for lo in range(0, eu.size, step):
-        x = labels[eu[lo : lo + step]] ^ labels[ev[lo : lo + step]]
-        w = x.max(axis=1)
-        if (np.count_nonzero(x, axis=1) != 1).any() or (w & (w - np.uint64(1))).any():
-            return None  # one flipped coordinate: exactly one nonzero word, and it is a power of two
-        flips[lo : lo + step] = 64 * x.argmax(axis=1) + np.frexp(w.astype(np.float64))[1] - 1  # exact: w = 2^b
-    rank = np.argsort(np.unique(flips, return_index=True)[1])  # class i is coordinate rank[i]
+        x = (labels[eu[lo : lo + step]] ^ labels[ev[lo : lo + step]]).ravel()
+        nz = x.nonzero()[0]
+        if nz.size != x.size // words or (nz // words != np.arange(nz.size)).any():
+            return None  # one flipped coordinate: exactly one nonzero word per edge, in edge order,
+        w = x[nz]
+        if (w & (w - np.uint64(1))).any():
+            return None  # and that word is a power of two
+        flips[lo : lo + step] = 64 * (nz % words) + np.frexp(w.astype(np.float64))[1] - 1  # exact: w = 2^b
+    first_edge = np.full(opener.size, eu.size)
+    np.minimum.at(first_edge, flips, np.arange(eu.size))
+    rank = np.argsort(first_edge)  # class i is coordinate rank[i]
     sides = np.ascontiguousarray(labels.view(np.uint8).T)[rank >> 3]  # (d, n) bytes holding bit rank & 7
     sides >>= (rank & 7).astype(np.uint8)[:, None]
     sides &= 1
-    return np.argsort(rank)[flips], sides.view(bool)
+    edge_class = np.argsort(rank)[flips]
+    forked = npar > 1
+    c1, c2 = edge_class[edge[first[forked]]], edge_class[edge[last[forked]]]
+    key = np.minimum(c1, c2) * rank.size + np.maximum(c1, c2)  # the class pair i < j as one number
+    key.sort()
+    once = np.ones(key.size, dtype=bool)
+    once[1:] = key[1:] != key[:-1]
+    return edge_class, sides.view(bool), opener[rank], np.array(np.divmod(key[once], max(1, rank.size)))
 
 
 def _connected_distances(g, caller):
@@ -256,24 +288,177 @@ def theta_classes(g, d=None, method="pairwise"):
     return _attach_sides(g, ThetaClasses(g.n, g.eu, g.ev, _theta_classes_pairwise(g, d), None))
 
 
+def _colour_crossings(k, i, j):
+    """First-fit colouring of the crossing graph on classes 0..k-1 whose
+    edges are the pairs (i, j): no two classes of one colour cross. Colour c
+    takes, in index order, every class left that crosses none taken yet."""
+    cross = np.zeros((k, k), dtype=bool)
+    cross[i, j] = cross[j, i] = True
+    raw = np.packbits(cross, axis=1, bitorder="little").tobytes()
+    width = len(raw) // max(1, k)
+    crossing = [int.from_bytes(raw[x * width : (x + 1) * width], "little") for x in range(k)]
+    colour = [0] * k
+    left, c = (1 << k) - 1, 0  # bit sets of classes
+    while left:
+        free = left
+        while free:
+            x = (free & -free).bit_length() - 1
+            colour[x] = c
+            left ^= 1 << x
+            free &= ~crossing[x] & ~(1 << x)
+        c += 1
+    return np.array(colour, dtype=np.int64)
+
+
+def _crossing_counts(tc):
+    """n_ij^11 of each crossing pair (i, j) of ``tc.crossings``.
+
+    The classes that cross something are coloured so that no two of one
+    colour cross; by facts (a) to (c) of ``pair_counts`` each colour is then
+    laminar, any two members nested or disjoint. A class alone in its colour
+    takes its float32 Gram row. A colour F of more is ordered container
+    first, so the members of F holding a vertex v form a chain whose deepest
+    member, deep_F(v), has the largest position. For two such colours F and
+    G, C[k, l] counts the vertices v with deep_F(v) = k and deep_G(v) = l,
+    and with A[i, k] = 1 iff member k lies in member i, the block of n_ij^11
+    is A_F C A_G^T: v lies in member i iff deep_F(v) does. The products are
+    exact in float32, every partial sum an integer in [0, n].
+    """
+    (i, j), sides, d = tc.crossings, tc.sides, tc.class_count
+    crosses = np.zeros(d, dtype=bool)
+    crosses[i] = crosses[j] = True
+    k = np.flatnonzero(crosses)
+    local = np.cumsum(crosses) - 1  # the index of each class in k
+    colour = np.zeros(d, dtype=np.int64)
+    colour[k] = _colour_crossings(k.size, local[i], local[j])
+    size = np.bincount(colour[k])
+    order = k[np.lexsort((-tc.side_sizes[k], colour[k]))]  # colour by colour, each container first
+    start = np.cumsum(size) - size
+    pos = np.zeros(d, dtype=np.int64)
+    pos[order] = np.arange(k.size) - np.repeat(start, size)  # the position of each class in its colour
+    alone = crosses & (size[colour] == 1)
+    swap = alone[j] | (~alone[i] & (colour[i] > colour[j]))
+    i, j = np.where(swap, j, i), np.where(swap, i, j)  # i alone, or else colour[i] < colour[j]
+    counts = np.empty(i.size, dtype=np.int32)
+    gram = alone[i]  # the pairs read from Gram rows
+    if gram.any():
+        member = sides[k].astype(np.float32)
+        rows = member[alone[k]] @ member.T
+        counts[gram] = rows[np.cumsum(alone)[i[gram]] - 1, local[j[gram]]]
+    if gram.all():
+        return counts
+
+    def laminar(c):  # (A, deep_F + 1 at every vertex, 0 where no member holds it) of colour c
+        m = order[start[c] : start[c] + size[c]]
+        rank = np.arange(1, m.size + 1, dtype=np.min_scalar_type(m.size))
+        deep = (sides[m] * rank[:, None]).max(axis=0).astype(np.intp)
+        return sides[np.ix_(m, tc.gates[m])].astype(np.float32), deep  # fact (a)
+
+    block = colour[i] * size.size + colour[j]
+    blocks = np.flatnonzero(np.bincount(block[~gram])).tolist()
+    forest = {c: laminar(c) for c in {c for key in blocks for c in divmod(key, size.size)}}
+    for key in blocks:
+        f, g = divmod(key, size.size)
+        (af, deep_f), (ag, deep_g) = forest[f], forest[g]
+        c = np.bincount(deep_f * (size[g] + 1) + deep_g, minlength=(size[f] + 1) * (size[g] + 1))
+        n11 = af @ c.reshape(size[f] + 1, size[g] + 1)[1:, 1:].astype(np.float32) @ ag.T
+        sel = block == key
+        counts[sel] = n11[pos[i[sel]], pos[j[sel]]]
+    return counts
+
+
+def _labelled_pair_counts(tc):
+    """``pair_counts`` of a one-BFS labelling, from facts (a) to (c).
+
+    Every pair is first counted as if disjoint, with quadrants 0, a_i, a_j
+    and n - a_i - a_j; the last is tallied over pairs of distinct side sizes,
+    not pairs of classes. A nested pair, found by fact (a) as the bits of
+    ``sides[:, gates]``, then trades a_o and n - a_i - a_o for n - a_o and
+    a_o - a_i (o the outer class), and a crossing pair, fact (b), trades all
+    four for its counted quadrants, so no pair costs more than O(1) unless it
+    crosses. Size v is tallied at v + n, so that a count below 0 stays
+    visible until it is traded away; any count left there, or any negative
+    count, raises IntegralityError.
+    """
+    n, d = tc.n, tc.class_count
+    a, sides, z = tc.side_sizes, tc.sides, tc.gates
+    width = 2 * n + 1
+    hist = np.zeros(width, dtype=np.int64)
+
+    def trade(gone, added):
+        hist[:] += np.bincount(np.concatenate(added) + n, minlength=width)
+        hist[:] -= np.bincount(np.concatenate(gone) + n, minlength=width)
+
+    count = np.bincount(a, minlength=n + 1)
+    size = np.flatnonzero(count)
+    count = count[size]
+    hist[n] = comb(d, 2)
+    hist[n + size] += (d - 1) * count
+    ordered = np.zeros(width)  # (i, j) and (j, i), i != j, by n - a_i - a_j; exact in float64 below 2^53
+    rows = max(1, _GRAM_BLOCK // max(1, size.size))
+    for lo in range(0, size.size, rows):
+        both = count[lo : lo + rows, None] * count
+        ordered += np.bincount((2 * n - size[lo : lo + rows, None] - size).ravel(), both.ravel(), width)
+    ordered[2 * n - 2 * size] -= count
+    hist += (ordered / 2).astype(np.int64)
+    rows = max(1, _GRAM_BLOCK // max(1, d))
+    for lo in range(0, d, rows):
+        outer, inner = np.divmod(np.flatnonzero(sides[lo : lo + rows, z]), d)
+        outer += lo
+        keep = outer != inner
+        ao, ai = a[outer[keep]], a[inner[keep]]
+        trade((ao, n - ai - ao), (n - ao, ao - ai))
+    if tc.crossings.size:
+        m = _crossing_counts(tc)
+        ai, aj = a[tc.crossings]
+        trade((0 * m, ai, aj, n - ai - aj), (m, ai - m, aj - m, n - ai - aj + m))
+    if hist.min() < 0 or hist[:n].any():
+        raise IntegralityError("negative quadrant count: side partitions are inconsistent")
+    return hist[n:]
+
+
 def pair_counts(tc):
     """Histogram of the quadrant sizes of all class pairs i < j.
 
     ``hist[v]`` counts the (pair, quadrant) combinations whose quadrant
     n_ij^00, n_ij^01, n_ij^10 or n_ij^11 holds exactly v vertices, so
-    ``hist.sum() == 4 * C(d, 2)``. The n_ij^11 come from the Gram X X^T of the
-    side matrix X, formed in blocks of rows so that memory stays near d * n.
-    X is float32 for BLAS: every partial sum of the Gram is an integer of at
-    most n, exact below 2^24; a larger n is refused rather than rounded.
+    ``hist.sum() == 4 * C(d, 2)``. With a_i the size of side 1 (H_i) of
+    class i, all four follow from a_i, a_j and n_ij^11 = |H_i & H_j|.
+
+    With a one-BFS labelling (``tc.gates``, ``tc.crossings``), let z_i be the
+    gate of class i, and call H_i, H_j crossing when all four quadrants are
+    nonempty. Three facts hold for any kept labelling, partial cube or not:
+    (a) H_i lies in H_j iff z_i lies in H_j. Bit i reaches a vertex only
+        from z_i along parent links, and a vertex holds its parents' bits.
+    (b) H_i and H_j cross iff (i, j) is a column of ``tc.crossings``. Let v be a
+        vertex of H_i & H_j nearest vertex 0. A single parent of v would hold
+        every bit of v but the one v opens, so it would lie in H_i & H_j, or
+        v = z_i and the parent lies in H_j, so H_i lies in H_j. So v has two
+        parents, neither in H_i & H_j, and each edge from one flips the bit
+        the other brings: one of i, j each. Conversely, if the first-parent
+        edge of v flips i and its last-parent edge j, then v, the first
+        parent, the last parent and vertex 0 fill the four quadrants.
+    (c) Every other pair is disjoint: quadrant 00 holds vertex 0.
+    So n_ij^11 is a_i, a_j or 0 unless the pair crosses, and only crossing
+    pairs are counted from the vertices (``_labelled_pair_counts``).
+
+    Otherwise, and while d * d * n <= 2^22, where one BLAS product costs less
+    than the fixed numpy steps of the labelled path, n_ij^11 comes from the
+    Gram X X^T of the side matrix X, formed in blocks of rows so that memory
+    stays near d * n. X is float32 for BLAS, as are the products of the
+    labelled path: every partial sum is an integer of at most n, exact below
+    2^24; a larger n is refused rather than rounded.
     """
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
     if n >= _FLOAT32_EXACT:
         raise PreconditionError(f"pair_counts needs n < 2^24 for an exact float32 Gram, got n={n}")
-    member = tc.sides.astype(np.float32)
     s1 = tc.side_sizes
     d = s1.size
+    if tc.gates is not None and d * d * n > _GRAM_SMALL:
+        return _labelled_pair_counts(tc)
+    member = tc.sides.astype(np.float32)
     hist = np.zeros(n + 1, dtype=np.int64)
     rows = max(1, _GRAM_BLOCK // max(d, 1))
     for lo in range(0, d, rows):

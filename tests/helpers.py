@@ -76,6 +76,15 @@ def prism(k):
     return Graph.from_edges(2 * k, sorted(tuple(sorted(e)) for e in edges))
 
 
+def cartesian_product(g, h):
+    """G x H, vertex (u, v) numbered u * h.n + v."""
+    u, v = np.arange(g.n)[:, None], np.arange(h.n)
+    g_edges = (g.eu[:, None] * h.n + v, g.ev[:, None] * h.n + v)  # one copy of each edge of g per v
+    h_edges = (u * h.n + h.eu, u * h.n + h.ev)
+    ends = [np.concatenate((a.ravel(), b.ravel())) for a, b in zip(g_edges, h_edges)]
+    return Graph.from_edges(g.n * h.n, np.c_[ends[0], ends[1]])
+
+
 def hung_k23(m):
     """The m x m grid with a K_{2,3} hung at its last vertex: hubs m*m - 1 and
     m*m, leaves m*m + 1 .. m*m + 3. Modular but not median, and its first
@@ -413,6 +422,18 @@ def quadrant_histogram(tc):
         for size in quadrants(tc, i, j):
             hist[size] += 1
     return hist
+
+
+def gram_quadrant_histogram(tc):
+    """Quadrant sizes of all class pairs i < j from the dense int64 Gram of
+    the side matrix, every pair in one step: the vectorized oracle for
+    theta.pair_counts on corpora too large for quadrant_histogram."""
+    x = tc.sides.astype(np.int64)
+    a = x.sum(axis=1)
+    i, j = np.triu_indices(a.size, 1)
+    n11 = (x @ x.T)[i, j]
+    quadrants = np.concatenate((tc.n - a[i] - a[j] + n11, a[j] - n11, a[i] - n11, n11))
+    return np.bincount(quadrants, minlength=tc.n + 1)
 
 
 def paper_cut_sums(tc):

@@ -157,6 +157,17 @@ class TestCompute:
         assert code == 0, err
         assert expected in out and "method = cut" in out
 
+    def test_grid_cut_forms_no_full_gram(self, capsys, monkeypatch):
+        # the only other way pair_counts counts quadrants is the d x d Gram
+        from steiner_indices import theta
+
+        labelled, calls = theta._labelled_pair_counts, []
+        monkeypatch.setattr(theta, "_labelled_pair_counts", lambda tc: calls.append(tc) or labelled(tc))
+        code, out, err = run(capsys, "compute", "--gen", "grid:100,100", "--index", "sww", "--method", "cut")
+        assert code == 0, err
+        assert f"sww3 = {grid_sww3(100, 100)}" in out and "method = cut" in out
+        assert len(calls) == 1
+
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]
         f = tmp_path / "k23.txt"

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_parent_labels,
+    cartesian_product,
     classification_corpus,
     complete,
     complete_bipartite,
     cycle,
+    gram_quadrant_histogram,
     grid,
     hypercube,
     induced_subgraph,
@@ -175,7 +177,7 @@ class TestOneBfsLabels:
                 assert labelled is not None, g.edges  # every median graph takes it
             if labelled is None:
                 continue
-            edge_class, sides = labelled
+            edge_class, sides, _, _ = labelled
             assert np.array_equal(edge_class, pairwise.edge_class)
             assert ThetaClasses(g.n, g.eu, g.ev, edge_class, None).classes == pairwise.classes
             assert np.array_equal(sides, pairwise.sides)
@@ -235,7 +237,7 @@ class TestOneBfsLabels:
     def test_word_boundaries_equal_the_all_parent_oracle(self, coords):
         # a tree on c + 1 vertices has c coordinates, 64 to a packed word
         for g in (path(coords + 1), tree(coords + 3, coords + 1)):
-            edge_class, sides = one_bfs_labels(g)
+            edge_class, sides, _, _ = one_bfs_labels(g)
             expected_class, expected_sides = one_bfs_labels(g, all_parent_labels)
             assert np.array_equal(edge_class, expected_class)
             assert sides.shape == (coords, g.n)
@@ -395,6 +397,144 @@ class TestPairCounts:
         for g in [grid(3, 4), hypercube(4), tree(2, 11), prism(6)]:
             _, tc = analyzed(g)
             assert (pair_counts(tc) == quadrant_histogram(tc)).all()
+
+
+WORD_BOUNDARIES = (0, 1, 63, 64, 65, 128, 129)
+
+
+@cache
+def labelled_corpus():
+    """(graph, classes) for every kept one-BFS labelling among the
+    classification corpus, 300 random bipartite graphs, grids 1 x 1 to 6 x 6,
+    Q1 to Q7, 300 seeded trees, paths and trees with a word-boundary number
+    of coordinates, two products whose colourings mix lone classes with
+    laminar colours, and three larger trees and grids. A labelling kept off
+    a partial cube counts too: the facts of pair_counts need only the flip
+    check."""
+    rng = random.Random(43)
+    graphs = classification_corpus()
+    graphs += [random_bipartite_graph(rng, rng.randrange(4, 25), rng.randrange(0, 8)) for _ in range(300)]
+    graphs += [grid(m, n) for m in range(1, 7) for n in range(1, 7)]
+    graphs += [hypercube(k) for k in range(1, 8)]
+    graphs += [tree(seed, 2 + seed % 40) for seed in range(300)]
+    graphs += [f(c) for c in WORD_BOUNDARIES for f in (lambda c: path(c + 1), lambda c: tree(c + 3, c + 1))]
+    graphs += [cartesian_product(grid(3, 3), path(2)), cartesian_product(grid(2, 4), grid(2, 3))]
+    graphs += [tree(7, 300), grid(12, 9), path(200)]
+    out = []
+    for g in graphs:
+        labels = one_bfs_labels(g)
+        if labels is not None:
+            out.append((g, ThetaClasses(g.n, g.eu, g.ev, *labels)))
+    return out
+
+
+@pytest.fixture
+def labelled_path(monkeypatch):
+    """pair_counts takes the labelled path at every size; the calls it makes."""
+    calls = []
+    labelled = theta_module._labelled_pair_counts
+    monkeypatch.setattr(theta_module, "_GRAM_SMALL", -1)
+    monkeypatch.setattr(theta_module, "_labelled_pair_counts", lambda tc: calls.append(tc) or labelled(tc))
+    return calls
+
+
+def colours(tc):
+    """The crossing classes of tc and their colours, as _crossing_counts takes them."""
+    crossing = np.unique(tc.crossings)
+    return crossing, theta_module._colour_crossings(crossing.size, *np.searchsorted(crossing, tc.crossings))
+
+
+class TestLabelledPairCounts:
+    def test_facts_against_the_quadrants(self):
+        # (a) H_i lies in H_j iff z_i does; (b) the crossing pairs are the
+        # columns of tc.crossings; (c) every other pair is disjoint
+        checked = crossing = 0
+        for g, tc in labelled_corpus():
+            if tc.class_count > 40:
+                continue
+            columns = list(zip(*tc.crossings.tolist()))
+            assert columns == sorted(set(columns)) and all(i < j for i, j in columns)
+            pairs = set(columns)
+            for i, j in combinations(range(tc.class_count), 2):
+                n00, n01, n10, n11 = quadrants(tc, i, j)
+                assert n00 > 0  # vertex 0
+                assert (n10 == 0) == bool(tc.sides[j, tc.gates[i]]), g.edges
+                assert (n01 == 0) == bool(tc.sides[i, tc.gates[j]]), g.edges
+                assert (min(n01, n10, n11) > 0) == ((i, j) in pairs), g.edges
+                if (i, j) not in pairs and n10 and n01:
+                    assert n11 == 0
+            checked += 1
+            crossing += bool(pairs)
+        assert checked >= 650 and crossing >= 190
+
+    def test_gates_open_their_classes(self):
+        for g, tc in labelled_corpus():
+            assert tc.gates.shape == (tc.class_count,) and not tc.gates.flags.writeable
+            assert not tc.crossings.flags.writeable
+            if tc.class_count:
+                assert tc.sides[np.arange(tc.class_count), tc.gates].all()
+                assert np.array_equal(np.sort(tc.gates), np.unique(tc.gates))
+
+    def test_equals_the_gram_oracle(self, labelled_path):
+        kinds = set()
+        for g, tc in labelled_corpus():
+            assert (pair_counts(tc) == gram_quadrant_histogram(tc)).all(), g.edges
+            if tc.crossings.size:
+                sizes = np.bincount(colours(tc)[1])
+                kinds.update(("lone" if s == 1 else "laminar") for s in sizes.tolist())
+        assert kinds == {"lone", "laminar"}
+        assert len(labelled_path) == len(labelled_corpus())
+
+    def test_products_take_gram_rows_and_forest_histograms(self, labelled_path):
+        g = cartesian_product(grid(3, 3), path(2))
+        tc = theta_classes(g, method="crossing")
+        sizes = np.bincount(colours(tc)[1])
+        assert sorted(sizes.tolist()) == [1, 2, 2]  # two laminar colours and one lone class
+        x = tc.sides.astype(np.int64)
+        assert theta_module._crossing_counts(tc).tolist() == [int(x[i] @ x[j]) for i, j in zip(*tc.crossings)]
+        assert (pair_counts(tc) == quadrant_histogram(tc)).all()
+
+    def test_colouring_is_first_fit(self):
+        for g, tc in labelled_corpus():
+            if not tc.crossings.size:
+                continue
+            crossing, colour = colours(tc)
+            local = np.searchsorted(crossing, tc.crossings)
+            assert (colour[local[0]] != colour[local[1]]).all()  # no crossing pair shares a colour
+            crosses = np.zeros((crossing.size,) * 2, dtype=bool)
+            crosses[local[0], local[1]] = crosses[local[1], local[0]] = True
+            for x in range(crossing.size):  # each class crosses an earlier class of every lower colour
+                earlier = crosses[x, :x]
+                assert {int(c) for c in colour[:x][earlier]} >= set(range(colour[x]))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_row_blocks_match_the_oracle(self, monkeypatch, labelled_path, block):
+        monkeypatch.setattr(theta_module, "_GRAM_BLOCK", block)
+        for g in [grid(3, 4), hypercube(4), tree(2, 11), cartesian_product(grid(3, 3), path(2))]:
+            tc = theta_classes(g, method="crossing")
+            assert (pair_counts(tc) == quadrant_histogram(tc)).all()
+        assert len(labelled_path) == 4
+
+    def test_the_gram_serves_small_inputs(self, monkeypatch):
+        # d * d * n up to 2^22 takes the Gram; above it the labelled path
+        calls = []
+        monkeypatch.setattr(theta_module, "_labelled_pair_counts", calls.append)
+        small, large = theta_classes(grid(20, 20), method="crossing"), theta_classes(tree(7, 300), method="crossing")
+        assert 38 * 38 * 400 <= theta_module._GRAM_SMALL < 299 * 299 * 300
+        assert (pair_counts(small) == gram_quadrant_histogram(small)).all()
+        assert calls == []
+        pair_counts(large)
+        assert calls == [large]
+
+    def test_a_labelling_that_contradicts_its_sides_raises(self, labelled_path):
+        # the sides of path 0-1-2 with the gates swapped: class 1 would hold
+        # class 0, and the nested pair's n01 = a_1 - a_0 comes out negative
+        g = path(3)
+        good = theta_classes(g, method="crossing")
+        assert good.gates.tolist() == [1, 2] and good.side_sizes.tolist() == [2, 1]
+        bad = ThetaClasses(g.n, g.eu, g.ev, good.edge_class, good.sides, good.gates[::-1].copy(), good.crossings)
+        with pytest.raises(IntegralityError):
+            pair_counts(bad)
 
 
 class TestIsPartialCube:
