@@ -13,6 +13,9 @@ import time
 from functools import cache, cached_property
 from math import comb
 
+from . import cutmethod, generators, graph, steiner, theta
+from .errors import IntegralityError, NotPartialCubeClassError, PreconditionError, not_modular_error
+
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
 CLASSIFY_LIMIT = 3000  # max n for on-the-fly classification, which needs the n x n distance matrix
 PAIRWISE_EDGE_LIMIT = 3000  # beyond this the O(|E|^2) Theta scan is refused
@@ -42,20 +45,17 @@ def emit(report, fmt, stream=None):
 
 def load_graph(args):
     """Resolve the single input source into (graph, descriptor-or-None, label)."""
-    from .generators import generate, parse_descriptor
-    from .graph import parse_edge_list
-
     if bool(args.input) == bool(args.gen):
         raise UsageError("exactly one of --input FILE or --gen SPEC is required")
     if args.gen:
-        desc = parse_descriptor(args.gen)
-        return generate(desc), desc, str(desc)
+        desc = generators.parse_descriptor(args.gen)
+        return generators.generate(desc), desc, str(desc)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_edge_list(text), None, os.path.basename(args.input)
+    return graph.parse_edge_list(text), None, os.path.basename(args.input)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -68,24 +68,16 @@ class Analysis:
 
     @cached_property
     def d(self):
-        from .graph import all_pairs_distances
-
-        return all_pairs_distances(self.g)
+        return graph.all_pairs_distances(self.g)
 
     @cached_property
     def moments(self):
-        from .graph import distance_moments
-
-        return distance_moments(self.d)
+        return graph.distance_moments(self.d)
 
     @cached_property
     def classification(self):
-        from .errors import PreconditionError
-        from .generators import family_classification
-        from .theta import median_classification
-
         if self.desc is not None:
-            known = family_classification(self.desc)
+            known = generators.family_classification(self.desc)
             if known is not None:
                 return known
         if self.g.n > CLASSIFY_LIMIT:
@@ -93,127 +85,98 @@ class Analysis:
                 f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
                 "all-pairs distances; only generated median families are supported at this size"
             )
-        return median_classification(self.g, self.d)
+        return theta.median_classification(self.g, self.d)
 
     @cached_property
     def theta(self):
-        from .errors import PreconditionError
-        from .theta import theta_classes
-
         cls = self.classification
         if cls.partial_cube:
             # classified graphs keep the classes is_partial_cube confirmed; a
             # generated median family is labelled by one BFS, no APSP needed
-            return cls.theta or theta_classes(self.g, method="crossing")
+            return cls.theta or theta.theta_classes(self.g, method="crossing")
         if self.g.size > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
             )
-        return theta_classes(self.g, self.d)
+        return theta.theta_classes(self.g, self.d)
 
     @cached_property
     def pairs(self):
-        from .theta import pair_counts
-
-        return pair_counts(self.theta)
+        return theta.pair_counts(self.theta)
 
 
-def _formula_result(an, index, k):
-    """Closed-form value when the descriptor matches one, else None."""
-    from .errors import PreconditionError
-    from .generators import complete_formulas, grid_sw3, grid_sww3, path_formulas
-
-    desc = an.desc
-    if desc is None or index not in ("sw", "sww", "hosoya"):
-        return None
-    kind, params = desc.kind, desc.params
+def _formula(an, index, k, guard):
+    """Closed forms of the generated complete graphs, paths and grids."""
+    kind, params = (an.desc.kind, an.desc.params) if an.desc else (None, ())
     if kind == "grid" and min(params) == 1:
         kind, params = "path", (max(params),)
-    if kind == "complete":
-        sh, sw, sww = complete_formulas(params[0], k)
-        return {"sw": sw, "sww": sww, "hosoya": sh}[index]
-    if kind == "path" and k >= 2:
-        sh, sw, sww = path_formulas(params[0], k)
+    if index in ("sw", "sww", "hosoya") and (kind == "complete" or (kind == "path" and k >= 2)):
+        family = generators.complete_formulas if kind == "complete" else generators.path_formulas
+        sh, sw, sww = family(params[0], k)
         return {"sw": sw, "sww": sww, "hosoya": sh}[index]
     if kind == "grid" and k == 3 and index in ("sw", "sww"):
-        m, n = params
         try:
-            return grid_sw3(m, n) if index == "sw" else grid_sww3(m, n)
+            return (generators.grid_sw3 if index == "sw" else generators.grid_sww3)(*params)
         except PreconditionError:
-            return None  # shape outside the formula's validity; fall through
-    return None
+            pass  # shape outside the formula's validity
+    raise PreconditionError(f"no closed formula applies to this input for index {index}, k={k}")
 
 
-def _brute_value(an, index, k, guard):
-    from .errors import IntegralityError
-    from .graph import hyper_wiener
-    from .steiner import steiner_hosoya, steiner_k_indices_brute
+def _cut(an, index, k, guard):
+    if index == "hosoya":
+        raise PreconditionError("method cut does not apply to index hosoya")
+    k_cut = 2 if index in ("w", "ww") else k  # W and WW are SW_2 and SWW_2
+    cls = an.classification
+    cutmethod.check_exact(an.g.n, an.g.size, k_cut, cls)
+    if index in ("w", "sw"):  # SW_k needs no quadrant histogram
+        return cutmethod.cut_report(an.theta, None, k_cut, cls)[0]
+    return cutmethod.cut_report(an.theta, an.pairs, k_cut, cls)[1]
 
+
+def _modular(an, index, k, guard):
+    if index not in ("sw", "sww"):
+        raise PreconditionError(f"method modular does not apply to index {index}")
+    if k != 3:
+        raise PreconditionError("modular formulas exist only for k = 3")
+    cls = an.classification
+    if not cls.modular:
+        raise not_modular_error(cls)
+    sw3, sww3 = steiner.modular_indices_3(an.d, an.moments, cls)
+    return sw3 if index == "sw" else sww3
+
+
+def _brute(an, index, k, guard):
     if index == "w":
         return an.moments.wiener
     if index == "ww":
-        ww = hyper_wiener(an.moments)
+        ww = graph.hyper_wiener(an.moments)
         if ww.denominator != 1:
             raise IntegralityError(f"hyper-Wiener index {ww} is not an integer")
         return int(ww)
+    steiner.check_k(an.g.n, k, guard)  # before an.d: a refusal needs no distances
     if index == "hosoya":
-        return steiner_hosoya(an.g, an.d, k, guard)
-    sw, sww = steiner_k_indices_brute(an.g, an.d, k, guard=guard)
+        return steiner.steiner_hosoya(an.g, an.d, k, guard)
+    sw, sww = steiner.steiner_k_indices_brute(an.g, an.d, k, guard=guard)
     return sw if index == "sw" else sww
 
 
+_METHODS = {"formula": _formula, "cut": _cut, "modular": _modular, "brute": _brute}  # auto's order
+
+
 def _compute_value(an, index, k, method, guard):
-    """Returns (value, method_tag). Raises PreconditionError when an explicitly
-    requested method is inapplicable."""
-    from .errors import PreconditionError, not_modular_error
-    from .cutmethod import check_exact, cut_report
-    from .steiner import modular_indices_3
-
-    if method == "brute":
-        tag = "hosoya" if index == "hosoya" else "brute"
-        return _brute_value(an, index, k, guard), tag
-
-    if method in ("auto", "formula"):
-        value = _formula_result(an, index, k)
-        if value is not None:
-            return value, "formula"
-        if method == "formula":
-            raise PreconditionError(f"no closed formula applies to this input for index {index}, k={k}")
-
-    if index == "hosoya":
-        if method != "auto":
-            raise PreconditionError(f"method {method} does not apply to index hosoya")
-        return _brute_value(an, index, k, guard), "hosoya"
-
-    if method in ("auto", "cut"):
-        # W and WW are SW_2 and SWW_2
-        k_cut = 2 if index in ("w", "ww") else k
+    """Returns (value, method_tag) from the row of ``_METHODS`` that ``method``
+    names. A row (an, index, k, guard) -> value raises PreconditionError with
+    the reason where it does not apply; ``auto`` takes the first row that does
+    not refuse, and brute force's refusal is final."""
+    names = tuple(_METHODS) if method == "auto" else (method,)
+    for name in names:
         try:
-            cls = an.classification
-            check_exact(an.g.n, an.g.size, k_cut, cls)
+            value = _METHODS[name](an, index, k, guard)
         except PreconditionError:
-            if method == "cut":
+            if name == names[-1]:
                 raise
         else:
-            if index in ("w", "sw"):  # SW_k needs no quadrant histogram
-                return cut_report(an.theta, None, k_cut, cls)[0], "cut"
-            return cut_report(an.theta, an.pairs, k_cut, cls)[1], "cut"
-
-    if index in ("w", "ww"):
-        if method == "modular":
-            raise PreconditionError(f"method modular does not apply to index {index}")
-        return _brute_value(an, index, k, guard), "brute"
-
-    if method in ("auto", "modular") and k == 3:
-        cls = an.classification
-        if cls.modular:
-            sw3, sww3 = modular_indices_3(an.d, an.moments, cls)
-            return (sw3 if index == "sw" else sww3), "modular"
-        if method == "modular":
-            raise not_modular_error(cls)
-    if method == "modular":
-        raise PreconditionError("modular formulas exist only for k = 3")
-    return _brute_value(an, index, k, guard), "brute"
+            return value, "hosoya" if name == "brute" and index == "hosoya" else name
 
 
 def _value_str(index, value):
@@ -223,11 +186,9 @@ def _value_str(index, value):
 
 
 def run_compute(args):
-    from .steiner import K_MAX
-
     g, desc, label = load_graph(args)
-    if not 1 <= args.k <= K_MAX:
-        raise UsageError(f"--k must be in 1..{K_MAX}")
+    if not 1 <= args.k <= steiner.K_MAX:
+        raise UsageError(f"--k must be in 1..{steiner.K_MAX}")
     an = Analysis(g, desc)
     guard = None if args.force else BRUTE_GUARD
     report = {"graph": label, "n": g.n, "edges": g.size}
@@ -243,7 +204,7 @@ def run_compute(args):
 
     if args.verify:
         start = time.perf_counter()
-        ref = _brute_value(an, args.index, args.k, guard)
+        ref = _METHODS["brute"](an, args.index, args.k, guard)
         report["verify_method"] = "brute"
         report["verify_elapsed_s"] = time.perf_counter() - start
         equal = ref == value  # SteinerHosoya compares k and coefficients
@@ -280,21 +241,15 @@ def run_classify(args):
 
 
 def run_bench(args):
-    from .cutmethod import check_exact, sww3_cut
-    from .steiner import steiner_k_indices_brute
-
     g, desc, label = load_graph(args)
     an = Analysis(g, desc)
-    cls = an.classification
-    check_exact(g.n, g.size, 3, cls)
+    an.classification  # classified before the cut is timed
     report = {"graph": label, "n": g.n, "edges": g.size}
 
     start = time.perf_counter()
-    tc = an.theta
-    pc = an.pairs
-    cut_value = sww3_cut(tc, pc, g.n, cls)
+    cut_value = _METHODS["cut"](an, "sww", 3, None)
     cut_elapsed = time.perf_counter() - start
-    report["classes"] = tc.class_count
+    report["classes"] = an.theta.class_count
     report["sww3_cut"] = cut_value
     report["cut_s"] = cut_elapsed
 
@@ -304,7 +259,7 @@ def run_bench(args):
         report["brute"] = f"skipped: guard ({triples} triples > {guard})"
     else:
         start = time.perf_counter()
-        _, brute_value = steiner_k_indices_brute(an.g, an.d, 3)
+        brute_value = _METHODS["brute"](an, "sww", 3, None)
         brute_elapsed = time.perf_counter() - start
         report["sww3_brute"] = brute_value
         report["brute_s"] = brute_elapsed
@@ -360,23 +315,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    from .errors import (
-        DisconnectedGraphError,
-        GraphFormatError,
-        IntegralityError,
-        NotPartialCubeClassError,
-        PreconditionError,
-    )
-
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error = {exc}", file=sys.stderr)
-        return 1
     except (PreconditionError, NotPartialCubeClassError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 2
-    except (GraphFormatError, DisconnectedGraphError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 1
     except IntegralityError as exc:

@@ -100,9 +100,17 @@ class SteinerHosoya:
         return sorted(self.coeffs.items())
 
 
-def check_k(n, k):
+def check_k(n, k, guard=None):
+    """Refuse k outside 1..min(n, K_MAX) and, with a ``guard``, more than
+    ``guard`` k-subsets of n vertices: from n and k alone, before any
+    distance is computed."""
     if not 1 <= k <= min(n, K_MAX):
         raise PreconditionError(f"k must satisfy 1 <= k <= min(n, {K_MAX}), got {k}")
+    if guard is not None and comb(n, k) > guard:
+        raise PreconditionError(
+            f"C({n},{k}) = {comb(n, k)} subsets exceeds the enumeration guard {guard}; "
+            "--force lifts it"
+        )
 
 
 _BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
@@ -160,13 +168,7 @@ def steiner_hosoya(g, d, k, guard=None):
     k = 3 runs in one vectorized kernel; other k enumerate the subsets.
     ``guard`` caps the number of subsets.
     """
-    check_k(g.n, k)
-    count = comb(g.n, k)
-    if guard is not None and count > guard:
-        raise PreconditionError(
-            f"C({g.n},{k}) = {count} subsets exceeds the enumeration guard {guard}; "
-            "--force lifts it"
-        )
+    check_k(g.n, k, guard)
     if k == 3:
         adj = np.zeros((g.n, g.n), dtype=bool)
         adj[g.eu, g.ev] = adj[g.ev, g.eu] = True

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import steiner_indices
-from helpers import complete, complete_bipartite, cycle, edge_list_text, grid, hung_k23, random_connected_graph
+from helpers import complete, complete_bipartite, cycle, edge_list_text, grid, hung_k23, random_connected_graph, tree
 from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor
 from steiner_indices.cli import main
 
@@ -195,12 +195,12 @@ class TestCompute:
         assert "verified = true" in out
 
     def test_verify_mismatch_exits_3(self, capsys, monkeypatch):
-        real = cli._brute_value
+        real = cli._METHODS["brute"]
 
         def wrong(an, index, k, guard):
             return real(an, index, k, guard) + 1
 
-        monkeypatch.setattr(cli, "_brute_value", wrong)
+        monkeypatch.setitem(cli._METHODS, "brute", wrong)
         code, out, err = run(
             capsys, "compute", "--gen", "grid:3,3", "--index", "sw", "--verify"
         )
@@ -377,6 +377,63 @@ class TestDeferredClassification:
         for index in ("sw", "sww"):
             code, _, err = run(capsys, "compute", "--input", str(f), "--index", index, "--method", "cut")
             assert (code, err) == (2, f"error = {text}\n")
+
+
+TABLE_INPUTS = {
+    "path:6": None, "grid:3,4": None, "complete:4": None, "cycle:5": None, "cycle:6": None,
+    "K23": complete_bipartite(2, 3), "tree:3,12": tree(3, 12),
+}
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("index", ["w", "ww", "sw", "sww", "hosoya"])
+    @pytest.mark.parametrize("name", list(TABLE_INPUTS))
+    def test_rows_give_brute_force_or_refuse_and_auto_takes_the_first(self, capsys, tmp_path, name, index):
+        g = TABLE_INPUTS[name]
+        source = ["--gen", name]
+        if g is not None:
+            f = tmp_path / "g.txt"
+            f.write_text(edge_list_text(g))
+            source = ["--input", str(f)]
+        for k in ("2", "3", "4"):
+            results = {}
+            for method in [*cli._METHODS, "auto"]:
+                code, out, err = run(capsys, "compute", *source, "--index", index, "--k", k, "--method", method)
+                lines = out.splitlines()
+                results[method] = (code, lines[3:5] if code == 0 else err)
+            code, (value, tag) = results["brute"]
+            assert code == 0
+            assert tag == f"method = {'hosoya' if index == 'hosoya' else 'brute'}"
+            for method in cli._METHODS:
+                code, got = results[method]
+                if code == 0:
+                    assert got[0] == value, (k, method)
+                else:
+                    assert code == 2 and got.startswith("error = "), (k, method, got)
+            first = next(results[m] for m in cli._METHODS if results[m][0] == 0)
+            assert results["auto"] == first
+
+
+class TestRefusalsBeforeDistances:
+    @pytest.mark.parametrize(
+        "argv,subsets",
+        [(["--gen", "cycle:400", "--index", "sw", "--k", "5", "--method", "brute"], "C(400,5) = 83218600080"),
+         (["--gen", "cycle:400", "--index", "hosoya", "--k", "5"], "C(400,5) = 83218600080"),
+         (["--gen", "grid:100,100", "--index", "sww", "--method", "cut", "--verify"], "C(10000,3) = 166616670000"),
+         # auto: cut and modular refuse a cycle too large to classify; brute force's refusal is final
+         (["--gen", "cycle:3001", "--index", "sww"], "C(3001,3) = 4499999500")],
+        ids=["brute", "hosoya", "cut-verify", "auto-over-classify-limit"],
+    )
+    def test_guard_refuses_without_all_pairs_distances(self, capsys, monkeypatch, argv, subsets):
+        from steiner_indices import graph
+
+        def refuse(*args):
+            raise AssertionError("all-pairs distances were computed for a refused run")
+
+        monkeypatch.setattr(graph, "all_pairs_distances", refuse)
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error = {subsets} subsets exceeds the enumeration guard 5000000; --force lifts it\n"
 
 
 class TestClassify:
