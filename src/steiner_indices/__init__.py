@@ -8,7 +8,6 @@ from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
     IntegralityError,
-    NotPartialCubeClassError,
     PreconditionError,
 )
 from .graph import (
@@ -29,7 +28,6 @@ from .theta import (
     is_partial_cube,
     median_classification,
     pair_counts,
-    side_partition,
     theta_classes,
     theta_related,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "DisconnectedGraphError",
     "GraphFormatError",
     "IntegralityError",
-    "NotPartialCubeClassError",
     "PreconditionError",
     "DistanceMatrix",
     "DistanceMoments",
@@ -75,7 +72,6 @@ __all__ = [
     "is_partial_cube",
     "median_classification",
     "pair_counts",
-    "side_partition",
     "theta_classes",
     "theta_related",
     "K_MAX",

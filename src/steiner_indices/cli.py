@@ -14,7 +14,7 @@ from functools import cache, cached_property
 from math import comb
 
 from . import cutmethod, generators, graph, steiner, theta
-from .errors import IntegralityError, NotPartialCubeClassError, PreconditionError, not_modular_error
+from .errors import IntegralityError, PreconditionError, not_modular_error
 
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
 CLASSIFY_LIMIT = 3000  # max n for on-the-fly classification, which needs the n x n distance matrix
@@ -50,7 +50,7 @@ def load_graph(args):
     if args.gen:
         desc = generators.parse_descriptor(args.gen)
         return generators.generate(desc), desc, str(desc)
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     return graph.parse_edge_list(text), None, os.path.basename(args.input)
 
@@ -317,10 +317,10 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (PreconditionError, NotPartialCubeClassError) as exc:
+    except PreconditionError as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 1
     except IntegralityError as exc:

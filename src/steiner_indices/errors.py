@@ -22,16 +22,6 @@ class DisconnectedGraphError(ValueError):
         self.pair = (u, v)
 
 
-class NotPartialCubeClassError(ValueError):
-    """Removing a Theta-class did not leave exactly two components."""
-
-    def __init__(self, component_count):
-        super().__init__(
-            f"not a partial-cube class: removal leaves {component_count} components"
-        )
-        self.component_count = component_count
-
-
 class PreconditionError(ValueError):
     """A documented precondition of an operation does not hold."""
 

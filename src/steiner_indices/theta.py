@@ -7,15 +7,14 @@ two connected components (the class's sides), and the side bipartitions give
 an isometric hypercube embedding.
 """
 
-from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, IntegralityError, NotPartialCubeClassError, PreconditionError
+from .errors import DisconnectedGraphError, IntegralityError, PreconditionError
 from .graph import _bfs, all_pairs_distances, bfs_distances
 
 
@@ -78,39 +77,6 @@ class ThetaClasses:
     @property
     def side_counts(self):
         return tuple((self.n - s1, s1) for s1 in self.side_sizes.tolist())
-
-
-def side_partition(g, cls):
-    """Connected components of G minus a Theta*-class, as one bool row.
-
-    The row is True at the vertices outside the component of vertex 0. Raises
-    NotPartialCubeClassError when the removal leaves != 2 components.
-    """
-    u, v = np.asarray(cls, dtype=np.int64).reshape(-1, 2).T
-    slot = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr  # (row, neighbour) of each CSR slot
-    keep = ~np.isin(slot, np.r_[u * g.n + v, v * g.n + u])  # both slots of each class edge go
-    indptr, nbr = np.r_[0, np.cumsum(keep)][g.indptr], g.nbr[keep]
-    dist = np.full(g.n, -1, dtype=np.int32)
-    count = 0
-    for root in range(g.n):
-        if dist[root] < 0:
-            _bfs(indptr, nbr, dist, [root])
-            count += 1
-            if count == 1:
-                far = dist < 0
-    if count != 2:
-        raise NotPartialCubeClassError(count)
-    return far
-
-
-def _attach_sides(g, tc):
-    sides = np.zeros((tc.class_count, g.n), dtype=bool)
-    for i, cls in enumerate(tc.classes):
-        try:
-            sides[i] = side_partition(g, cls)
-        except NotPartialCubeClassError:
-            return tc
-    return replace(tc, sides=sides)
 
 
 def _theta_classes_pairwise(g, d):
@@ -226,27 +192,17 @@ def _connected_distances(g, caller):
         raise PreconditionError(f"{caller} requires a connected graph") from None
 
 
-def _theta_classes_crossing(g, d):
-    """Theta* of a bipartite partial cube as (edge class, sides): one BFS where
-    ``_one_bfs_labels`` applies (every median graph), else one cut per class
-    read from the distance rows ``d`` (C6, C8), computed here if not given.
+def _cut_classes(g, a):
+    """Theta* as (edge class, sides), one cut per class read from the
+    distance rows ``a``: the class of the first edge uv not yet taken is the
+    cut between W_uv and W_vu, the vertices closer to u and those closer to v.
 
     For a bipartite graph the edges Theta-related to uv are exactly the edges
-    crossing the {closer-to-u, closer-to-v} vertex bipartition; when these
-    crossing sets tile the edge set they are the Theta*-classes (always the
-    case for partial cubes), opened in the order of their smallest edge.
-    Returns None when some vertex is equidistant from the ends of a class's
-    edge or the crossing sets overlap, in which case the caller must fall back
-    to the pairwise method; raises PreconditionError on a disconnected graph.
+    crossing this cut; when the cuts tile the edge set they are the
+    Theta*-classes (always the case for partial cubes), numbered by their
+    smallest edge. Returns None when some vertex is equidistant from u and v
+    or two cuts overlap.
     """
-    dist = (bfs_distances(g, 0) if d is None else d.row(0)) if g.n else np.zeros(0, dtype=np.int32)
-    if (dist < 0).any():
-        raise PreconditionError("theta_classes requires a connected graph")
-    labelled = _one_bfs_labels(g, dist)
-    if labelled is not None:
-        return labelled
-
-    a = (all_pairs_distances(g) if d is None else d).a
     eu, ev = g.eu, g.ev
     edge_class = np.full(eu.size, -1, dtype=np.int64)
     sides = []
@@ -265,6 +221,22 @@ def _theta_classes_crossing(g, d):
     return edge_class, np.array(sides, dtype=bool).reshape(-1, g.n)
 
 
+def _theta_classes_crossing(g, d):
+    """Theta* of a bipartite partial cube as (edge class, sides): one BFS where
+    ``_one_bfs_labels`` applies (every median graph), else ``_cut_classes``
+    on the distance rows ``d`` (C6, C8), computed here if not given. Returns
+    None when ``_cut_classes`` does, in which case the caller must fall back
+    to the pairwise method; raises PreconditionError on a disconnected graph.
+    """
+    dist = (bfs_distances(g, 0) if d is None else d.row(0)) if g.n else np.zeros(0, dtype=np.int32)
+    if (dist < 0).any():
+        raise PreconditionError("theta_classes requires a connected graph")
+    labelled = _one_bfs_labels(g, dist)
+    if labelled is not None:
+        return labelled
+    return _cut_classes(g, (all_pairs_distances(g) if d is None else d).a)
+
+
 def theta_classes(g, d=None, method="pairwise"):
     """Partition the edge set under Theta*.
 
@@ -273,6 +245,23 @@ def theta_classes(g, d=None, method="pairwise"):
     cubes (one BFS on median graphs, row 0 of ``d`` when given); it raises
     PreconditionError when its consistency checks fail rather than silently
     returning a wrong partition.
+
+    The pairwise classes take their sides from ``_cut_classes`` when it finds
+    the same classes, and have none otherwise. These are exactly the sides of
+    the two components that G - C leaves for each class C, if every class
+    leaves two:
+    - Let F be a union of Theta*-classes and ab an edge of F. An edge xy
+      outside F is not Theta-related to ab, so d(x,a) - d(x,b) =
+      d(y,a) - d(y,b): x -> d(x,a) - d(x,b) is constant on each component of
+      G - F.
+    - Take F = C with smallest edge uv. Then u's component reads -1, v's
+      reads +1, and every edge of C joins two components (the first point,
+      taking that edge as ab).
+    - So G - C has exactly two components iff no vertex is equidistant from
+      u and v and C is exactly the cut (W_uv, W_vu); those two sets are then
+      the components.
+    ``_cut_classes`` reproduces the pairwise partition iff every class is
+    such a cut of its smallest edge.
     """
     if method == "crossing":
         result = _theta_classes_crossing(g, d)
@@ -285,7 +274,10 @@ def theta_classes(g, d=None, method="pairwise"):
         raise ValueError(f"unknown method {method!r}")
     if d is None:
         d = _connected_distances(g, "theta_classes")
-    return _attach_sides(g, ThetaClasses(g.n, g.eu, g.ev, _theta_classes_pairwise(g, d), None))
+    edge_class = _theta_classes_pairwise(g, d)
+    cut = _cut_classes(g, d.a)
+    sides = cut[1] if cut is not None and np.array_equal(cut[0], edge_class) else None
+    return ThetaClasses(g.n, g.eu, g.ev, edge_class, sides)
 
 
 def _colour_crossings(k, i, j):
@@ -620,14 +612,14 @@ def _first_triple(a, start, zero):
     raise RuntimeError("local median tests and triple search disagree")
 
 
-def median_classification(g, d=None, tc=None):
+def median_classification(g, d=None):
     """Classify a connected graph by its median structure.
 
     Decided by local tests (Bandelt and Chepoi, "Metric graph theory and
     geometry: a survey", 2008): a graph is modular iff it is bipartite and
     satisfies the quadrangle condition, and a modular graph is median iff it
     has no induced K_{2,3}, i.e. no pair with three common neighbours. Graphs
-    with n < 3 are classified median by convention.
+    with n < 3 are classified median, and so partial cubes, by convention.
 
     The witness is the lexicographically first triple with no median
     (not_modular) or with at least two medians (modular_not_median). Every
@@ -635,8 +627,8 @@ def median_classification(g, d=None, tc=None):
     equidistant from u and the quadrangle condition holds at u (push a v-w
     geodesic down through the quadrangles), so the first zero-median triple
     starts at the first failing root, and at 0 when G is not bipartite.
-    A bipartite G is a partial cube iff ``tc``, by default its crossing
-    classes (which every partial cube has), labels it isometrically.
+    A bipartite G is a partial cube iff its crossing classes, which every
+    partial cube has, label it isometrically.
 
     Three arguments spare work that decides nothing:
     - A wedge pair with N(v) in N(w) never fails the quadrangle condition: at
@@ -653,15 +645,15 @@ def median_classification(g, d=None, tc=None):
         d = _connected_distances(g, "median_classification")
     bip, _ = is_bipartite(g, d.row(0) if g.n else None)  # the BFS levels from vertex 0
     if g.n < 3:
-        return GraphClassification(True, bip, g.n >= 1, "median", None)
+        return GraphClassification(True, bip, True, "median", None)
 
     @cache
-    def verified():  # of a bipartite g: tc, by default its crossing classes, if they label g isometrically
-        t = tc
-        if t is None:
-            with suppress(PreconditionError):
-                t = theta_classes(g, d, method="crossing")
-        return t if t is not None and is_partial_cube(g, d, t, True).is_partial_cube else None
+    def verified():  # of a bipartite g: its crossing classes, if they label g isometrically
+        try:
+            tc = theta_classes(g, d, method="crossing")
+        except PreconditionError:
+            return None
+        return tc if is_partial_cube(g, d, tc, True).is_partial_cube else None
 
     if not bip:
         status, root, k23 = "not_modular", 0, False

@@ -187,6 +187,13 @@ class TestCompute:
         assert "w = 10" in out
         assert "graph = p4.txt" in out
 
+    def test_input_file_with_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "p4.txt"
+        f.write_text("\ufeff4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "w")
+        assert code == 0
+        assert "w = 10" in out
+
     def test_verify_flag(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--gen", "grid:3,4", "--index", "sww", "--verify"
@@ -493,6 +500,11 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "compute", "--input", "/nonexistent.txt", "--index", "w")
         assert code == 1
+
+    def test_input_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", "--input", str(tmp_path), "--index", "w")
+        assert code == 1 and out == ""
+        assert err.startswith("error = ") and str(tmp_path) in err
 
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

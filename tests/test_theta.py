@@ -40,7 +40,6 @@ from steiner_indices.graph import bfs_distances
 from steiner_indices import (
     Graph,
     IntegralityError,
-    NotPartialCubeClassError,
     PreconditionError,
     ThetaClasses,
     all_pairs_distances,
@@ -49,7 +48,6 @@ from steiner_indices import (
     is_partial_cube,
     median_classification,
     pair_counts,
-    side_partition,
     theta_classes,
     theta_related,
 )
@@ -288,9 +286,8 @@ class TestSidePartition:
     def test_c4_sides(self):
         g = cycle(4)
         _, tc = analyzed(g)
-        for cls in tc.classes:
-            row = side_partition(g, cls)
-            assert row.dtype == bool and row.shape == (g.n,)
+        assert tc.sides.dtype == bool and tc.sides.shape == (2, g.n)
+        for row in tc.sides:
             assert row.sum() == 2
             assert not row[0]
 
@@ -306,11 +303,8 @@ class TestSidePartition:
         assert sizes == expected
 
     def test_k3_class_removal_fails(self):
-        g = complete(3)
-        _, tc = analyzed(g)
-        with pytest.raises(NotPartialCubeClassError) as exc:
-            side_partition(g, tc.classes[0])
-        assert exc.value.component_count == 3
+        _, tc = analyzed(complete(3))  # one class, whose removal leaves 3 components
+        assert tc.class_count == 1 and tc.sides is None
 
     def test_side_counts_sum_to_n(self):
         g = grid(4, 5)
@@ -631,8 +625,9 @@ class TestMedianClassification:
         assert cls.partial_cube
 
     def test_small_graphs_vacuously_median(self):
-        assert median_classification(complete(2)).median_status == "median"
-        assert median_classification(complete(1)).median_status == "median"
+        for g in (complete(2), complete(1), Graph.from_edges(0, [])):
+            cls = median_classification(g)
+            assert cls.median_status == "median" and cls.partial_cube  # median implies partial cube
 
     def test_median_implies_partial_cube_on_corpus(self):
         graphs = [tree(s, 4 + s % 8) for s in range(10)]
@@ -803,21 +798,24 @@ def test_classification_equals_the_triple_scan_and_the_pairwise_partial_cube_che
     assert cls.partial_cube == is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube
 
 
-def test_side_partition_equals_the_components_left_by_the_class():
-    for g in classification_corpus()[::3]:
+def test_pairwise_sides_are_the_components_left_by_each_class():
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() and nx.is_connected(h)]
+    graphs = [Graph.from_edges(h.number_of_nodes(), h.edges) for h in atlas] + classification_corpus()
+    for g in graphs:
+        tc = theta_classes(g, all_pairs_distances(g))
         nxg = nx.Graph(g.edges)
         nxg.add_nodes_from(range(g.n))
-        for cls in theta_classes(g).classes:
+        near = []
+        for cls in tc.classes:
             rest = nxg.copy()
             rest.remove_edges_from(cls)
-            count = nx.number_connected_components(rest)
-            if count != 2:
-                with pytest.raises(NotPartialCubeClassError) as exc:
-                    side_partition(g, cls)
-                assert exc.value.component_count == count
-                continue
-            near = nx.node_connected_component(rest, 0)
-            assert side_partition(g, cls).tolist() == [v not in near for v in range(g.n)]
+            if nx.number_connected_components(rest) != 2:
+                assert tc.sides is None, g.edges
+                break
+            near.append(nx.node_connected_component(rest, 0))
+        else:
+            expected = [[v not in side for v in range(g.n)] for side in near]
+            assert tc.sides.tolist() == expected, g.edges
 
 
 class TestWedgeEnumeration:
