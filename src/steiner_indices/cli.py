@@ -17,7 +17,7 @@ from . import cutmethod, generators, graph, steiner, theta
 from .errors import IntegralityError, PreconditionError, not_modular_error
 
 BRUTE_GUARD = 5_000_000  # default cap on enumerated subsets
-CLASSIFY_LIMIT = 3000  # max n for on-the-fly classification, which needs the n x n distance matrix
+CLASSIFY_LIMIT = 3000  # max n for the n x n distance matrix (36 MB of int32) unless --force
 PAIRWISE_EDGE_LIMIT = 3000  # beyond this the O(|E|^2) Theta scan is refused
 
 
@@ -62,12 +62,18 @@ class UsageError(ValueError):
 class Analysis:
     """Lazily computed per-graph artifacts shared by the subcommands."""
 
-    def __init__(self, g, desc):
+    def __init__(self, g, desc, force=False):
         self.g = g
         self.desc = desc
+        self.force = force  # build the distance matrix at any n
 
     @cached_property
     def d(self):
+        if self.g.n > CLASSIFY_LIMIT and not self.force:
+            raise PreconditionError(
+                f"graph too large for the all-pairs distance matrix (n={self.g.n} > {CLASSIFY_LIMIT}); "
+                "--force lifts the limit in compute and bench"
+            )
         return graph.all_pairs_distances(self.g)
 
     @cached_property
@@ -80,20 +86,14 @@ class Analysis:
             known = generators.family_classification(self.desc)
             if known is not None:
                 return known
-        if self.g.n > CLASSIFY_LIMIT:
-            raise PreconditionError(
-                f"graph too large to classify (n={self.g.n} > {CLASSIFY_LIMIT}): it needs "
-                "all-pairs distances; only generated median families are supported at this size"
-            )
         return theta.median_classification(self.g, self.d)
 
     @cached_property
     def theta(self):
-        cls = self.classification
-        if cls.partial_cube:
-            # classified graphs keep the classes is_partial_cube confirmed; a
-            # generated median family is labelled by one BFS, no APSP needed
-            return cls.theta or theta.theta_classes(self.g, method="crossing")
+        # a partial cube's crossing classes read the distance matrix only if
+        # classification built it (one BFS labels a median graph)
+        if self.classification.partial_cube:
+            return theta.theta_classes(self.g, self.__dict__.get("d"), method="crossing")
         if self.g.size > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
@@ -149,10 +149,7 @@ def _brute(an, index, k, guard):
     if index == "w":
         return an.moments.wiener
     if index == "ww":
-        ww = graph.hyper_wiener(an.moments)
-        if ww.denominator != 1:
-            raise IntegralityError(f"hyper-Wiener index {ww} is not an integer")
-        return int(ww)
+        return graph.hyper_wiener(an.moments)
     steiner.check_k(an.g.n, k, guard)  # before an.d: a refusal needs no distances
     if index == "hosoya":
         return steiner.steiner_hosoya(an.g, an.d, k, guard)
@@ -189,7 +186,7 @@ def run_compute(args):
     g, desc, label = load_graph(args)
     if not 1 <= args.k <= steiner.K_MAX:
         raise UsageError(f"--k must be in 1..{steiner.K_MAX}")
-    an = Analysis(g, desc)
+    an = Analysis(g, desc, args.force)
     guard = None if args.force else BRUTE_GUARD
     report = {"graph": label, "n": g.n, "edges": g.size}
 
@@ -242,7 +239,7 @@ def run_classify(args):
 
 def run_bench(args):
     g, desc, label = load_graph(args)
-    an = Analysis(g, desc)
+    an = Analysis(g, desc, args.force)
     an.classification  # classified before the cut is timed
     report = {"graph": label, "n": g.n, "edges": g.size}
 
@@ -294,7 +291,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--method", choices=("auto", "brute", "cut", "modular", "formula"), default="auto")
     p.add_argument("--verify", action="store_true", help="also run brute force and compare")
-    p.add_argument("--force", action="store_true", help="ignore the enumeration guard")
+    p.add_argument("--force", action="store_true", help="ignore the enumeration guard and the distance-matrix limit")
     p.set_defaults(func=run_compute)
 
     p = sub.add_parser("classify", help="classify a graph (bipartite / partial cube / median)")
@@ -304,7 +301,7 @@ def build_parser():
     p = sub.add_parser("bench", help="time the cut method against brute enumeration (k = 3)")
     _add_source_args(p)
     p.add_argument("--max-brute", type=int, default=BRUTE_GUARD)
-    p.add_argument("--force", action="store_true", help="run brute even above the guard")
+    p.add_argument("--force", action="store_true", help="run brute even above the guard; lift the distance-matrix limit")
     p.set_defaults(func=run_bench)
     return parser
 

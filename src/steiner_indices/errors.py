@@ -34,6 +34,14 @@ class IntegralityError(ArithmeticError):
     """
 
 
+def exact_div(num, den):
+    """Integer division that must be exact; anything else is a bug upstream."""
+    q, r = divmod(num, den)
+    if r != 0:
+        raise IntegralityError(f"{num} is not divisible by {den}")
+    return q
+
+
 class DeferredPreconditionError(PreconditionError):
     """A PreconditionError whose text the callable ``args[0]`` builds when it
     is read, so that a refusal caught unread costs nothing to explain."""

@@ -12,10 +12,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, exact_div
 from .graph import Graph
-from .steiner import SteinerHosoya, exact_div
-from .theta import GraphClassification
+from .steiner import SteinerHosoya
+from .theta import MEDIAN
 
 KINDS = ("path", "cycle", "complete", "hypercube", "grid", "tree")
 
@@ -113,11 +113,8 @@ def family_classification(desc):
     partial cubes); K_1 and K_2 trivially so. Everything else must be
     classified by computation.
     """
-    kind = desc.kind
-    if kind in ("path", "tree", "grid", "hypercube"):
-        return GraphClassification(True, True, True, "median", None)
-    if kind == "complete" and desc.params[0] <= 2:
-        return GraphClassification(True, True, True, "median", None)
+    if desc.kind in ("path", "tree", "grid", "hypercube") or (desc.kind == "complete" and desc.params[0] <= 2):
+        return MEDIAN
     return None
 
 

@@ -6,12 +6,11 @@ Python ints.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, GraphFormatError
+from .errors import DisconnectedGraphError, GraphFormatError, exact_div
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +225,6 @@ def distance_moments(dm):
 
 
 def hyper_wiener(m):
-    """WW(G) = (W + sum of squared distances) / 2, as an exact rational.
-
-    For every graph the two sums have equal parity termwise, so the result is
-    an integer; it is still returned as a Fraction so callers can assert.
-    """
-    return Fraction(m.wiener + m.sum_sq, 2)
+    """WW(G) = (W + sum of squared distances) / 2, an exact int: d + d^2 is
+    even for every distance d, and ``exact_div`` raises if the sum is odd."""
+    return exact_div(m.wiener + m.sum_sq, 2)

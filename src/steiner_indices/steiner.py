@@ -15,20 +15,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import IntegralityError, PreconditionError, not_modular_error
+from .errors import PreconditionError, exact_div, not_modular_error
 
 # state space of the subset DP is 2^(k-1) * n; beyond this we refuse
 K_MAX = 12
 
 _INF = np.int64(1) << 40
-
-
-def exact_div(num, den):
-    """Integer division that must be exact; anything else is a bug upstream."""
-    q, r = divmod(num, den)
-    if r != 0:
-        raise IntegralityError(f"{num} is not divisible by {den}")
-    return q
 
 
 def _validate_terminals(n, s):

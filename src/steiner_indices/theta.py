@@ -7,8 +7,8 @@ two connected components (the class's sides), and the side bipartitions give
 an isometric hypercube embedding.
 """
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from math import comb
 from typing import Optional
 
@@ -488,14 +488,13 @@ class PartialCubeResult:
     coordinates: Optional[np.ndarray]  # (n, d) bool view sides.T: row v is the label of v
 
 
-def is_partial_cube(g, d, tc, bipartite=None):
+def is_partial_cube(g, d, tc):
     """Check the partial-cube property and produce the hypercube embedding.
 
     Verifies (a) bipartiteness, (b) every class splits G into two sides,
     (c) graph distance equals Hamming distance of the side-membership labels.
-    ``bipartite`` is the caller's ``is_bipartite`` flag, computed if not given.
     """
-    if not (is_bipartite(g)[0] if bipartite is None else bipartite):
+    if not is_bipartite(g, d.row(0) if g.n else None)[0]:  # levelled by row 0 of the distances
         return PartialCubeResult(False, "non-bipartite", None)
     if tc.sides is None:
         return PartialCubeResult(False, "bad class", None)
@@ -530,12 +529,11 @@ class _Deferred(partial):
 
 @dataclass(frozen=True)
 class GraphClassification:
-    connected: bool
+    connected = True  # a disconnected graph is refused, never classified
     bipartite: bool
     partial_cube: bool
     median_status: str  # median | modular_not_median | not_modular
     witness: Optional[tuple]
-    theta: Optional[ThetaClasses] = field(default=None, compare=False, repr=False)  # confirmed partial-cube classes
 
     def __getattribute__(self, name):
         value = object.__getattribute__(self, name)
@@ -547,6 +545,9 @@ class GraphClassification:
     @property
     def modular(self):
         return self.median_status in ("median", "modular_not_median")
+
+
+MEDIAN = GraphClassification(True, True, "median", None)  # a median graph is a partial cube (Mulder 1978)
 
 
 _BLOCK_ELEMENTS = 1 << 16  # roots x wedges evaluated per numpy step
@@ -619,7 +620,9 @@ def median_classification(g, d=None):
     geometry: a survey", 2008): a graph is modular iff it is bipartite and
     satisfies the quadrangle condition, and a modular graph is median iff it
     has no induced K_{2,3}, i.e. no pair with three common neighbours. Graphs
-    with n < 3 are classified median, and so partial cubes, by convention.
+    with n < 3 are classified median by convention. Every median graph gets
+    ``MEDIAN``: it is a partial cube by theorem (Mulder 1978) and, like the
+    generated median families, takes its crossing classes unchecked.
 
     The witness is the lexicographically first triple with no median
     (not_modular) or with at least two medians (modular_not_median). Every
@@ -627,8 +630,6 @@ def median_classification(g, d=None):
     equidistant from u and the quadrangle condition holds at u (push a v-w
     geodesic down through the quadrangles), so the first zero-median triple
     starts at the first failing root, and at 0 when G is not bipartite.
-    A bipartite G is a partial cube iff its crossing classes, which every
-    partial cube has, label it isometrically.
 
     Three arguments spare work that decides nothing:
     - A wedge pair with N(v) in N(w) never fails the quadrangle condition: at
@@ -638,23 +639,18 @@ def median_classification(g, d=None):
     - In a bipartite G, a pair with three common neighbours spans an induced
       K_{2,3}, isometric since its distances are 1 and 2. An isometric
       subgraph of a partial cube is one (Mulder 1980), and K_{2,3} is not.
-    - The witness, and the partial-cube verdict and classes of a not_modular
-      graph, are computed on first read; ``compute`` rarely reads them.
+      So a modular partial cube is exactly a median graph, and only a
+      bipartite, non-modular G with no K_{2,3} needs the partial-cube check:
+      its crossing classes, which every partial cube has, must label it
+      isometrically (``is_partial_cube``).
+    - The witness, and that partial-cube verdict, are computed on first
+      read; ``compute`` rarely reads them.
     """
     if d is None:
         d = _connected_distances(g, "median_classification")
-    bip, _ = is_bipartite(g, d.row(0) if g.n else None)  # the BFS levels from vertex 0
     if g.n < 3:
-        return GraphClassification(True, bip, True, "median", None)
-
-    @cache
-    def verified():  # of a bipartite g: its crossing classes, if they label g isometrically
-        try:
-            tc = theta_classes(g, d, method="crossing")
-        except PreconditionError:
-            return None
-        return tc if is_partial_cube(g, d, tc, True).is_partial_cube else None
-
+        return MEDIAN
+    bip, _ = is_bipartite(g, d.row(0))  # the BFS levels from vertex 0
     if not bip:
         status, root, k23 = "not_modular", 0, False
     else:
@@ -664,10 +660,17 @@ def median_classification(g, d=None):
         keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
         root = _first_quadrangle_failure(d.a, pv[keep], pw[keep], count[keep], centre[np.repeat(keep, count)])
         if root is None and not k23:
-            return GraphClassification(True, bip, verified() is not None, "median", None, verified())
+            return MEDIAN
         status, root = ("modular_not_median", 0) if root is None else ("not_modular", root)
     witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
     if not bip or k23:
-        return GraphClassification(True, bip, False, status, witness)
-    partial_cube = _Deferred(lambda: verified() is not None)
-    return GraphClassification(True, bip, partial_cube, status, witness, _Deferred(verified))
+        return GraphClassification(bip, False, status, witness)
+
+    def verified():  # do the crossing classes label g isometrically?
+        try:
+            tc = theta_classes(g, d, method="crossing")
+        except PreconditionError:
+            return False
+        return is_partial_cube(g, d, tc).is_partial_cube
+
+    return GraphClassification(True, _Deferred(verified), status, witness)

@@ -427,7 +427,7 @@ class TestRefusalsBeforeDistances:
         [(["--gen", "cycle:400", "--index", "sw", "--k", "5", "--method", "brute"], "C(400,5) = 83218600080"),
          (["--gen", "cycle:400", "--index", "hosoya", "--k", "5"], "C(400,5) = 83218600080"),
          (["--gen", "grid:100,100", "--index", "sww", "--method", "cut", "--verify"], "C(10000,3) = 166616670000"),
-         # auto: cut and modular refuse a cycle too large to classify; brute force's refusal is final
+         # auto: cut and modular refuse a cycle whose distance matrix is refused; brute force's refusal is final
          (["--gen", "cycle:3001", "--index", "sww"], "C(3001,3) = 4499999500")],
         ids=["brute", "hosoya", "cut-verify", "auto-over-classify-limit"],
     )
@@ -441,6 +441,43 @@ class TestRefusalsBeforeDistances:
         code, out, err = run(capsys, "compute", *argv)
         assert (code, out) == (2, "")
         assert err == f"error = {subsets} subsets exceeds the enumeration guard 5000000; --force lifts it\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--gen", "grid:200,200", "--index", "sww", "--method", "modular"],
+         ["--gen", "grid:200,200", "--index", "w", "--method", "brute"],
+         ["--gen", "grid:200,200", "--index", "ww", "--verify"],
+         ["--gen", "cycle:40000", "--index", "w"]],
+        ids=["modular", "brute", "verify", "auto"],
+    )
+    def test_distance_matrix_refused_above_the_limit(self, capsys, monkeypatch, argv):
+        # a 40000 x 40000 int32 matrix is 6.4 GB: refused before it is allocated
+        from steiner_indices import graph
+
+        def refuse(*args):
+            raise AssertionError("all-pairs distances were computed above the limit")
+
+        monkeypatch.setattr(graph, "all_pairs_distances", refuse)
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error = graph too large for the all-pairs distance matrix (n=40000 > 3000); "
+            "--force lifts the limit in compute and bench\n"
+        )
+
+    def test_force_lifts_the_distance_matrix_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(grid(3, 3)))
+        refused = "error = graph too large for the all-pairs distance matrix (n=9 > 8); --force lifts the limit in compute and bench\n"
+        for argv in (["compute", "--input", str(f), "--index", "w"], ["bench", "--input", str(f)], ["classify", "--input", str(f)]):
+            assert run(capsys, *argv) == (2, "", refused)
+        code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "w", "--force")
+        assert code == 0 and "w = 72" in out
+        code, out, _ = run(capsys, "bench", "--input", str(f), "--force")
+        assert code == 0 and "equal = true" in out
+        code, out, _ = run(capsys, "compute", "--gen", "grid:3,3", "--index", "ww", "--method", "cut")
+        assert code == 0  # a generated median family needs no distances
 
 
 class TestClassify:

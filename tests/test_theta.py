@@ -652,8 +652,8 @@ class TestMedianClassification:
         for g, d, (partial, tc) in zip(graphs, ds, expected):
             cls = median_classification(g, d)
             assert cls.partial_cube == partial, g.edges
-            if cls.theta is not None:  # the classes that confirmed the partial cube
-                assert cls.theta.classes == tc.classes
+            if cls.partial_cube:  # the classes that confirm the partial cube
+                assert theta_classes(g, d, method="crossing").classes == tc.classes
 
     def test_trees_are_median(self):
         for s in range(8):
@@ -743,7 +743,7 @@ class TestClassificationShortcuts:
         monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
         for (g, d), expected in zip(k23, statuses):
             cls = median_classification(g, d)
-            assert not cls.partial_cube and cls.theta is None
+            assert not cls.partial_cube
             assert (cls.median_status, cls.witness) == expected
 
     def test_status_and_witness_equal_the_median_count_oracle(self):
@@ -752,6 +752,12 @@ class TestClassificationShortcuts:
             cls = median_classification(g, d)
             assert (cls.median_status, cls.witness) == median_count_classification(d), g.edges
             seen.add(cls.median_status)
+            if cls.median_status == "median":  # a partial cube by theorem, labelled by one BFS
+                assert cls is theta_module.MEDIAN
+                tc, pairwise = theta_classes(g, d, method="crossing"), theta_classes(g, d)
+                assert tc.gates is not None and is_partial_cube(g, d, tc).is_partial_cube, g.edges
+                assert np.array_equal(tc.edge_class, pairwise.edge_class), g.edges
+                assert np.array_equal(tc.sides, pairwise.sides), g.edges
         assert seen == {"median", "modular_not_median", "not_modular"}
 
     def test_median_count_oracle_equals_the_triple_scan(self):
@@ -763,16 +769,19 @@ class TestClassificationShortcuts:
         def refuse(*args):
             raise AssertionError("computed before it was read")
 
-        expected = [median_classification(g) for g in (cycle(8), complete(4), complete_bipartite(2, 5))]
+        graphs = (cycle(8), complete(4), complete_bipartite(2, 5), grid(3, 4))
+        expected = [median_classification(g) for g in graphs]
         monkeypatch.setattr(theta_module, "_first_triple", refuse)
         monkeypatch.setattr(theta_module, "_theta_classes_crossing", refuse)
         monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
-        c8, k4, k25 = (median_classification(g) for g in (cycle(8), complete(4), complete_bipartite(2, 5)))
+        c8, k4, k25, g34 = (median_classification(g) for g in graphs)
         assert (c8.median_status, k4.median_status, k25.median_status) == ("not_modular", "not_modular", "modular_not_median")
         assert not k4.partial_cube and not k25.partial_cube
+        assert g34 is theta_module.MEDIAN and g34.partial_cube and g34.witness is None  # a median graph runs neither check
         monkeypatch.undo()
-        assert [c8, k4, k25] == expected
-        assert c8.partial_cube and c8.theta.class_count == 4 and c8.witness == (0, 2, 5)
+        assert [c8, k4, k25, g34] == expected
+        assert c8.partial_cube and c8.witness == (0, 2, 5)
+        assert theta_classes(cycle(8), method="crossing").class_count == 4
 
 
 @st.composite
