@@ -80,32 +80,31 @@ class ThetaClasses:
 
 
 def _theta_classes_pairwise(g, d):
-    """Theta* by testing Theta on all edge pairs and merging with union-find;
-    returns the class of each edge, classes numbered by their smallest edge."""
-    eu, ev = g.eu, g.ev
-    m = eu.size
-    parent = list(range(m))
+    """Theta* by testing Theta on all edge pairs; returns the class of each
+    edge, classes numbered by their smallest edge.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    For edge uv take f = d(., u) - d(., v); then xy is Theta-related to uv
+    iff f(x) != f(y). A block of rows f gives the related pairs of a block of
+    edges at once, and labels merge them: each label points to a smaller
+    edge or itself, a pair of distinct roots hooks the larger onto the
+    smaller, and shortcutting (label = label[label]) flattens the forest.
+    Each component's root is then its smallest edge.
+    """
+    eu, ev, a = g.eu, g.ev, d.a
+    label = np.arange(eu.size)
+    rows = max(1, _GRAM_BLOCK // max(1, eu.size))
+    for lo in range(0, eu.size, rows):
+        f = a[eu[lo : lo + rows]] - a[ev[lo : lo + rows]]
+        i, j = np.nonzero(f[:, eu] != f[:, ev])
+        i += lo
+        while (label[i] != label[j]).any():
+            np.minimum.at(label, np.maximum(label[i], label[j]), np.minimum(label[i], label[j]))
+            while (label[label] != label).any():
+                label = label[label]
+    return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
-    a = d.a
-    for i, (u1, v1) in enumerate(zip(eu.tolist(), ev.tolist())):
-        # vectorized Theta test of edge i against edges i+1..m-1
-        lhs = a[u1, eu[i + 1 :]] + a[v1, ev[i + 1 :]]
-        rhs = a[u1, ev[i + 1 :]] + a[v1, eu[i + 1 :]]
-        for off in np.flatnonzero(lhs != rhs):
-            ri, rj = find(i), find(i + 1 + int(off))
-            if ri != rj:
-                parent[rj] = ri
-    _, first, inverse = np.unique([find(i) for i in range(m)], return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse].astype(np.int64)
 
-
-_GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts and the flip check
+_GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts, the flip check and the Theta scan
 _GRAM_SMALL = 1 << 22  # d * d * n up to which pair_counts forms the Gram even with a labelling
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
@@ -193,19 +192,25 @@ def _connected_distances(g, caller):
 
 
 def _cut_classes(g, a):
-    """Theta* as (edge class, sides), one cut per class read from the
-    distance rows ``a``: the class of the first edge uv not yet taken is the
-    cut between W_uv and W_vu, the vertices closer to u and those closer to v.
+    """Theta* of a partial cube as (edge class, sides) from the distance rows
+    ``a`` of a connected graph, or None if G is no partial cube.
 
-    For a bipartite graph the edges Theta-related to uv are exactly the edges
-    crossing this cut; when the cuts tile the edge set they are the
-    Theta*-classes (always the case for partial cubes), numbered by their
-    smallest edge. Returns None when some vertex is equidistant from u and v
-    or two cuts overlap.
+    The class of the first edge uv not yet taken is the cut between W_uv and
+    W_vu, the vertices closer to u and those closer to v. The pass refuses a
+    vertex equidistant from u and v, a cut that meets an earlier one, and an
+    edge xy of the cut whose W_xy is neither W_uv nor W_vu.
+    - Passing proves a partial cube. The cuts tile E, and every cycle
+      crosses each cut an even number of times, so G is bipartite. In a
+      bipartite graph Theta(f) is the cut of W_f, so the check gives
+      Theta(f) = K_i for every f in class K_i: Theta is transitive, and G is
+      a partial cube (Winkler 1984).
+    - A partial cube passes. It has no ties, its Theta is transitive, and
+      Theta-related edges have the same W-sets (Djokovic 1973).
     """
     eu, ev = g.eu, g.ev
     edge_class = np.full(eu.size, -1, dtype=np.int64)
     sides = []
+    rows = max(1, _GRAM_BLOCK // max(1, g.n))
     for i in range(eu.size):
         if edge_class[i] >= 0:
             continue
@@ -216,17 +221,22 @@ def _cut_classes(g, a):
         idx = np.flatnonzero(closer_v[eu] != closer_v[ev])
         if (edge_class[idx] >= 0).any():
             return None  # overlap: Theta not transitive here
+        near = np.where(closer_v[eu[idx]], eu[idx], ev[idx])  # the end of each edge on v's side
+        far = eu[idx] + ev[idx] - near
+        for lo in range(0, idx.size, rows):
+            if ((a[near[lo : lo + rows]] < a[far[lo : lo + rows]]) != closer_v).any():
+                return None  # W_xy is neither W_uv nor W_vu
         edge_class[idx] = len(sides)
         sides.append(closer_v ^ closer_v[0])
-    return edge_class, np.array(sides, dtype=bool).reshape(-1, g.n)
+    return edge_class, np.array(sides, dtype=bool).reshape(len(sides), g.n)
 
 
 def _theta_classes_crossing(g, d):
-    """Theta* of a bipartite partial cube as (edge class, sides): one BFS where
-    ``_one_bfs_labels`` applies (every median graph), else ``_cut_classes``
-    on the distance rows ``d`` (C6, C8), computed here if not given. Returns
-    None when ``_cut_classes`` does, in which case the caller must fall back
-    to the pairwise method; raises PreconditionError on a disconnected graph.
+    """Theta* of a partial cube as (edge class, sides): one BFS where
+    ``_one_bfs_labels`` keeps its labelling (every median graph), else the
+    cut pass on the distance rows ``d`` (C6, C8), computed here if not
+    given. None when the cut pass refuses; a kept labelling is unchecked.
+    Raises PreconditionError on a disconnected graph.
     """
     dist = (bfs_distances(g, 0) if d is None else d.row(0)) if g.n else np.zeros(0, dtype=np.int32)
     if (dist < 0).any():
@@ -240,28 +250,21 @@ def _theta_classes_crossing(g, d):
 def theta_classes(g, d=None, method="pairwise"):
     """Partition the edge set under Theta*.
 
-    method="pairwise" is the general algorithm (O(|E|^2) Theta tests merged by
-    union-find). method="crossing" is a fast equivalent valid for partial
-    cubes (one BFS on median graphs, row 0 of ``d`` when given); it raises
-    PreconditionError when its consistency checks fail rather than silently
-    returning a wrong partition.
+    method="pairwise" is the general algorithm: the certified cut pass
+    (``_cut_classes``) gives a partial cube its classes and sides, and on
+    any other graph the O(|E|^2) Theta scan gives the classes and no sides.
+    There some class C does not leave G - C two components: if every class
+    C leaves two, A and B, then for f = xy in C no edge outside C is
+    Theta-related to f, so d(., x) - d(., y) is constant on A and on B.
+    Then W_xy = A and Theta(f) = C, so Theta is transitive, the cuts (A, B)
+    tile E and make G bipartite, and G is a partial cube.
 
-    The pairwise classes take their sides from ``_cut_classes`` when it finds
-    the same classes, and have none otherwise. These are exactly the sides of
-    the two components that G - C leaves for each class C, if every class
-    leaves two:
-    - Let F be a union of Theta*-classes and ab an edge of F. An edge xy
-      outside F is not Theta-related to ab, so d(x,a) - d(x,b) =
-      d(y,a) - d(y,b): x -> d(x,a) - d(x,b) is constant on each component of
-      G - F.
-    - Take F = C with smallest edge uv. Then u's component reads -1, v's
-      reads +1, and every edge of C joins two components (the first point,
-      taking that edge as ab).
-    - So G - C has exactly two components iff no vertex is equidistant from
-      u and v and C is exactly the cut (W_uv, W_vu); those two sets are then
-      the components.
-    ``_cut_classes`` reproduces the pairwise partition iff every class is
-    such a cut of its smallest edge.
+    method="crossing" is for graphs known to be partial cubes, median or
+    verified by ``median_classification``: one BFS labels a median graph
+    (row 0 of ``d`` when given), the cut pass the others. On any other
+    graph it raises PreconditionError, or returns a one-BFS labelling
+    unchecked, which has ``gates`` and need not be Theta* (K_{3,2} gets two
+    classes for one).
     """
     if method == "crossing":
         result = _theta_classes_crossing(g, d)
@@ -274,10 +277,10 @@ def theta_classes(g, d=None, method="pairwise"):
         raise ValueError(f"unknown method {method!r}")
     if d is None:
         d = _connected_distances(g, "theta_classes")
-    edge_class = _theta_classes_pairwise(g, d)
     cut = _cut_classes(g, d.a)
-    sides = cut[1] if cut is not None and np.array_equal(cut[0], edge_class) else None
-    return ThetaClasses(g.n, g.eu, g.ev, edge_class, sides)
+    if cut is not None:
+        return ThetaClasses(g.n, g.eu, g.ev, *cut)
+    return ThetaClasses(g.n, g.eu, g.ev, _theta_classes_pairwise(g, d), None)
 
 
 def _colour_crossings(k, i, j):
@@ -641,8 +644,8 @@ def median_classification(g, d=None):
       subgraph of a partial cube is one (Mulder 1980), and K_{2,3} is not.
       So a modular partial cube is exactly a median graph, and only a
       bipartite, non-modular G with no K_{2,3} needs the partial-cube check:
-      its crossing classes, which every partial cube has, must label it
-      isometrically (``is_partial_cube``).
+      the certified cut pass ``_cut_classes``, which passes iff G is a
+      partial cube.
     - The witness, and that partial-cube verdict, are computed on first
       read; ``compute`` rarely reads them.
     """
@@ -665,12 +668,4 @@ def median_classification(g, d=None):
     witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
     if not bip or k23:
         return GraphClassification(bip, False, status, witness)
-
-    def verified():  # do the crossing classes label g isometrically?
-        try:
-            tc = theta_classes(g, d, method="crossing")
-        except PreconditionError:
-            return False
-        return is_partial_cube(g, d, tc).is_partial_cube
-
-    return GraphClassification(True, _Deferred(verified), status, witness)
+    return GraphClassification(True, _Deferred(lambda: _cut_classes(g, d.a) is not None), status, witness)

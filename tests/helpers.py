@@ -4,6 +4,7 @@ import random
 from itertools import combinations, permutations
 from math import comb
 
+import networkx as nx
 import numpy as np
 
 from steiner_indices import (
@@ -14,6 +15,7 @@ from steiner_indices import (
     generate,
     is_bipartite,
     steiner_distance,
+    theta_related,
 )
 from steiner_indices.graph import is_connected
 from steiner_indices.steiner import exact_div
@@ -178,6 +180,36 @@ def wedge_pairs_per_vertex(adjacency):
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     count = np.diff(np.r_[starts, key.size])
     return key[starts] // n, key[starts] % n, count, np.concatenate(zs)[order]
+
+
+def theta_star_oracle(g, d):
+    """Theta* from its definition, as (edge class, sides).
+
+    The classes are the connected components of ``theta_related`` over all
+    edge pairs, numbered by their smallest edge. The sides are the two
+    components of G - C for each class C, side 0 holding vertex 0, or None
+    when some class does not leave exactly two.
+    """
+    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    related = nx.Graph()
+    related.add_nodes_from(range(len(edges)))
+    related.add_edges_from(
+        (i, j) for i, j in combinations(range(len(edges)), 2) if theta_related(d, edges[i], edges[j])
+    )
+    classes = sorted(sorted(c) for c in nx.connected_components(related))
+    edge_class = np.empty(len(edges), dtype=np.int64)
+    sides = np.zeros((len(classes), g.n), dtype=bool)
+    for k, c in enumerate(classes):
+        edge_class[c] = k
+    for k, c in enumerate(classes):
+        rest = nx.Graph(edges)
+        rest.add_nodes_from(range(g.n))
+        rest.remove_edges_from(edges[j] for j in c)
+        parts = list(nx.connected_components(rest))
+        if len(parts) != 2:
+            return edge_class, None
+        sides[k, list(parts[0] if 0 in parts[1] else parts[1])] = True
+    return edge_class, sides
 
 
 def all_parent_labels(g, dist):

@@ -356,7 +356,7 @@ class TestDeferredClassification:
 
         f = tmp_path / "c8.txt"
         f.write_text(edge_list_text(cycle(8)))
-        for name in ("_first_triple", "_theta_classes_crossing", "is_partial_cube"):
+        for name in ("_first_triple", "_theta_classes_crossing", "_cut_classes", "is_partial_cube"):
             monkeypatch.setattr(theta, name, refuse)
         code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
         assert code == 0, err

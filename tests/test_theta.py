@@ -31,6 +31,7 @@ from helpers import (
     quadrants,
     small_corpus,
     star,
+    theta_star_oracle,
     tree,
     triple_scan_classification,
     wedge_pairs_per_vertex,
@@ -138,6 +139,25 @@ class TestThetaClasses:
             theta_classes(complete(3), method="crossing")
         with pytest.raises(PreconditionError):
             theta_classes(complete_bipartite(2, 3), method="crossing")
+
+    def test_crossing_off_partial_cubes_raises_or_returns_a_one_bfs_labelling(self):
+        # crossing is for graphs known to be partial cubes; on others the cut
+        # pass refuses, and only a one-BFS labelling comes back unchecked
+        g = complete_bipartite(3, 2)
+        assert theta_classes(g, method="crossing").class_count == 2 and theta_classes(g).class_count == 1
+        returned = refused = 0
+        for g in bipartite_corpus() + small_corpus(300, 12, seed=9):
+            d = all_pairs_distances(g)
+            if is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube:
+                continue
+            try:
+                tc = theta_classes(g, d, method="crossing")
+            except PreconditionError:
+                refused += 1
+                continue
+            assert tc.gates is not None, g.edges
+            returned += 1
+        assert returned >= 30 and refused >= 30
 
     def test_crossing_refuses_odd_cycles_with_deep_ties(self):
         # the ends of edge (0, 1) of C5 and C7 first tie at the antipodal
@@ -280,6 +300,10 @@ class TestOneBfsLabels:
         tc = theta_classes(complete(1), method="crossing")
         assert tc.classes == ()
         assert tc.sides.shape == (0, 1)
+        for method in ("crossing", "pairwise"):
+            tc = theta_classes(Graph.from_edges(0, []), method=method)
+            assert tc.classes == ()
+            assert tc.sides.shape == (0, 0)
 
 
 class TestSidePartition:
@@ -739,8 +763,8 @@ class TestClassificationShortcuts:
         def refuse(*args):
             raise AssertionError("a partial-cube check ran on a graph with an induced K_{2,3}")
 
-        monkeypatch.setattr(theta_module, "_theta_classes_crossing", refuse)
-        monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
+        for name in ("_theta_classes_crossing", "_cut_classes", "is_partial_cube"):
+            monkeypatch.setattr(theta_module, name, refuse)
         for (g, d), expected in zip(k23, statuses):
             cls = median_classification(g, d)
             assert not cls.partial_cube
@@ -771,13 +795,22 @@ class TestClassificationShortcuts:
 
         graphs = (cycle(8), complete(4), complete_bipartite(2, 5), grid(3, 4))
         expected = [median_classification(g) for g in graphs]
-        monkeypatch.setattr(theta_module, "_first_triple", refuse)
-        monkeypatch.setattr(theta_module, "_theta_classes_crossing", refuse)
-        monkeypatch.setattr(theta_module, "is_partial_cube", refuse)
+        for name in ("_first_triple", "_theta_classes_crossing", "_cut_classes", "is_partial_cube"):
+            monkeypatch.setattr(theta_module, name, refuse)
         c8, k4, k25, g34 = (median_classification(g) for g in graphs)
+        c6_pendant = median_classification(classification_corpus()[27])
         assert (c8.median_status, k4.median_status, k25.median_status) == ("not_modular", "not_modular", "modular_not_median")
         assert not k4.partial_cube and not k25.partial_cube
         assert g34 is theta_module.MEDIAN and g34.partial_cube and g34.witness is None  # a median graph runs neither check
+        monkeypatch.undo()
+        cut_passes, real = [], theta_module._cut_classes
+        monkeypatch.setattr(theta_module, "_cut_classes", lambda *args: cut_passes.append(args) or real(*args))
+        monkeypatch.setattr(theta_module, "_one_bfs_labels", refuse)
+        monkeypatch.setattr(theta_module, "is_partial_cube", refuse)  # the verdict runs no Hamming check
+        for cls in (c8, c6_pendant):
+            cut_passes.clear()
+            assert cls.partial_cube
+            assert len(cut_passes) == 1
         monkeypatch.undo()
         assert [c8, k4, k25, g34] == expected
         assert c8.partial_cube and c8.witness == (0, 2, 5)
@@ -807,24 +840,24 @@ def test_classification_equals_the_triple_scan_and_the_pairwise_partial_cube_che
     assert cls.partial_cube == is_partial_cube(g, d, theta_classes(g, d)).is_partial_cube
 
 
-def test_pairwise_sides_are_the_components_left_by_each_class():
+def test_classes_and_sides_equal_the_theta_star_oracle():
+    # the scan and the cut pass share the distance rows, so the oracle is
+    # the definition: components of the Theta relation, and of G - C
     atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() and nx.is_connected(h)]
     graphs = [Graph.from_edges(h.number_of_nodes(), h.edges) for h in atlas] + classification_corpus()
+    partial = 0
     for g in graphs:
-        tc = theta_classes(g, all_pairs_distances(g))
-        nxg = nx.Graph(g.edges)
-        nxg.add_nodes_from(range(g.n))
-        near = []
-        for cls in tc.classes:
-            rest = nxg.copy()
-            rest.remove_edges_from(cls)
-            if nx.number_connected_components(rest) != 2:
-                assert tc.sides is None, g.edges
-                break
-            near.append(nx.node_connected_component(rest, 0))
-        else:
-            expected = [[v not in side for v in range(g.n)] for side in near]
-            assert tc.sides.tolist() == expected, g.edges
+        d = all_pairs_distances(g)
+        tc = theta_classes(g, d)
+        edge_class, sides = theta_star_oracle(g, d)
+        assert np.array_equal(tc.edge_class, edge_class), g.edges
+        assert (tc.sides is None) == (sides is None), g.edges
+        if sides is not None:
+            assert np.array_equal(tc.sides, sides), g.edges
+        oracle = ThetaClasses(g.n, g.eu, g.ev, edge_class, sides)
+        assert (tc.sides is not None) == is_partial_cube(g, d, oracle).is_partial_cube, g.edges
+        partial += tc.sides is not None
+    assert partial >= 250 and len(graphs) - partial >= 1000
 
 
 class TestWedgeEnumeration:
