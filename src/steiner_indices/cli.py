@@ -66,6 +66,7 @@ class Analysis:
         self.g = g
         self.desc = desc
         self.force = force  # build the distance matrix at any n
+        self.found = theta.Findings()  # what classification found, reused by the later steps
 
     @cached_property
     def d(self):
@@ -86,14 +87,17 @@ class Analysis:
             known = generators.family_classification(self.desc)
             if known is not None:
                 return known
-        return theta.median_classification(self.g, self.d)
+        elif theta.median_certificate(self.g, self.found) is not None:
+            return theta.MEDIAN  # certified without the distance matrix
+        return theta.median_classification(self.g, self.d, self.found)
 
     @cached_property
     def theta(self):
-        # a partial cube's crossing classes read the distance matrix only if
-        # classification built it (one BFS labels a median graph)
+        # classes built while classifying are reused; other crossing classes
+        # read the distance matrix only if classification built it (one BFS
+        # labels a median graph)
         if self.classification.partial_cube:
-            return theta.theta_classes(self.g, self.__dict__.get("d"), method="crossing")
+            return self.found.theta or theta.theta_classes(self.g, self.__dict__.get("d"), method="crossing")
         if self.g.size > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.g.size})"

@@ -104,7 +104,7 @@ def _theta_classes_pairwise(g, d):
     return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
-_GRAM_BLOCK = 1 << 18  # matrix entries formed per numpy step of pair_counts, the flip check and the Theta scan
+_GRAM_BLOCK = 1 << 18  # entries per numpy step of pair_counts, the flip check, the Theta scan and the certificate
 _GRAM_SMALL = 1 << 22  # d * d * n up to which pair_counts forms the Gram even with a labelling
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
@@ -576,6 +576,163 @@ def _common_neighbour_pairs(g):
     return key[starts] // n, key[starts] % n, count, np.repeat(np.arange(n), deg)[first][order]
 
 
+@dataclass
+class Findings:
+    """What classifying one graph found on the way, for later steps to reuse:
+    the wedge pairs of ``_common_neighbour_pairs``, the bipartite verdict on
+    the BFS levels from vertex 0, and Theta classes that a certificate or a
+    certified cut pass built. Each is None until found."""
+
+    pairs: Optional[tuple] = None
+    bipartite: Optional[bool] = None
+    theta: Optional[ThetaClasses] = None
+
+
+def _edge_ids(g, x, y):
+    """Index of the edge xy in ``g.eu``, ``g.ev`` for arrays of adjacent x, y."""
+    return np.searchsorted(g.eu * g.n + g.ev, np.minimum(x, y) * g.n + np.maximum(x, y))
+
+
+def _segment_blocks(bounds, width):
+    """(lo, hi) runs of segments, segment i being rows bounds[i]:bounds[i + 1],
+    of about _GRAM_BLOCK // width rows each, and one segment at least."""
+    step, lo, last = max(1, _GRAM_BLOCK // width), 0, bounds.size - 1
+    while lo < last:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _bit_rows(bits):
+    """An (r, c) bool matrix as (r, ceil(c / 64)) little-endian uint64 words:
+    bit j & 63 of word j >> 6 of row i is bits[i, j]."""
+    r, c = bits.shape
+    out = np.zeros((r, 8 * -(-c // 64)), dtype=np.uint8)
+    out[:, : -(-c // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _isometric(g, edge_class, sides):
+    """(ii) of ``median_certificate``: every vertex u is the only vertex on
+    u's side of each class of an edge at u. Each side is a row of bits over
+    the vertices, and u ANDs the rows of its CSR slots."""
+    n = g.n
+    side1, every = _bit_rows(sides), _bit_rows(np.ones((1, n), dtype=bool))[0]
+    u = np.repeat(np.arange(n), np.diff(g.indptr))
+    c = edge_class[_edge_ids(g, u, g.nbr)]
+    flip = ~sides[c, u]  # u lies on side 0: its row is the complement
+    own = np.uint64(1) << (np.arange(n) & 63).astype(np.uint64)
+    for lo, hi in _segment_blocks(g.indptr, every.size):
+        a, b = g.indptr[lo], g.indptr[hi]
+        rows = side1[c[a:b]]
+        rows[flip[a:b]] ^= every
+        meet = np.bitwise_and.reduceat(rows, g.indptr[lo:hi] - a, axis=0)
+        v = np.arange(lo, hi)
+        meet[v - lo, v >> 6] ^= own[v]  # u itself
+        if meet.any():
+            return False
+    return True
+
+
+def _boundaries_are_hulls(g, pairs, edge_class, sides):
+    """(iii) of ``median_certificate``, read at the wedges x - u - y whose
+    ends have one common neighbour: with c, j the classes of ux and uy, the
+    ends of c's edges on u's side lie on u's side of j, and those of j's
+    edges on u's side of c. The ends of each side of each class are one
+    segment, and a label bit where their AND and OR differ is not constant."""
+    pv, pw, count, centre = pairs
+    one = count == 1
+    if not one.any():
+        return True
+    d = sides.shape[0]
+    labels = _bit_rows(sides.T)  # bit i of row v is sides[i, v]
+    words = labels.shape[1]
+    s = sides[edge_class, g.eu].astype(np.int64)
+    segment = np.concatenate((2 * edge_class + s, 2 * edge_class + 1 - s))  # 2i + b: class i's ends on side b
+    member = np.concatenate((g.eu, g.ev))[np.argsort(segment, kind="stable")]
+    bounds = np.r_[0, np.cumsum(np.bincount(segment, minlength=2 * d))]
+    mixed = np.empty((2 * d, words), dtype=np.uint64)
+    for lo, hi in _segment_blocks(bounds, words):
+        a = bounds[lo]
+        rows = labels[member[a : bounds[hi]]]
+        at = bounds[lo:hi] - a
+        mixed[lo:hi] = np.bitwise_and.reduceat(rows, at, axis=0) ^ np.bitwise_or.reduceat(rows, at, axis=0)
+    u = centre[(np.cumsum(count) - count)[one]]
+    cls = edge_class[_edge_ids(g, u, np.stack((pv[one], pw[one])))]  # (2, wedges): the classes c, j
+    other = cls[::-1]
+    bit = mixed[2 * cls + sides[cls, u], other >> 6] >> (other & 63).astype(np.uint64)
+    return not (bit & np.uint64(1)).any()
+
+
+def median_certificate(g, found=None):
+    """The one-BFS Theta classes of a median graph, read from no distance
+    matrix, or None when G is not median. They equal
+    ``theta_classes(g, d, method="crossing")``. ``found`` (a ``Findings``)
+    receives the wedge pairs and the bipartite verdict once computed, and
+    the classes.
+
+    A tree (m = n - 1, every vertex reached from vertex 0) is median, and
+    its kept labelling is its Theta labelling. Any other G is turned away
+    when a pair has three common neighbours (an induced K_{2,3}), or when
+    m - n + 1 exceeds its number of squares, each square counted at its two
+    pairs with two common neighbours: a median graph is the 1-skeleton of a
+    CAT(0) cube complex (Chepoi 2000), which is simply connected, so its
+    squares span its cycle space. Then G must pass three checks:
+    (i) ``_one_bfs_labels`` keeps the labelling of one BFS from vertex 0,
+        whose levels also show G bipartite; each edge flips one coordinate.
+    (ii) Each vertex u is the only vertex on u's side of every class of an
+        edge at u (``_isometric``). So for u != v an edge uw flips a
+        coordinate where u and v differ, and induction on the Hamming
+        distance h gives d <= h; h <= d as an edge flips one coordinate.
+        G is then a partial cube whose Theta classes are the coordinate
+        classes, and its halfspaces are convex (Djokovic 1973).
+    (iii) For every class C and side, the ends U of C's edges on that side
+        equal their hull, the intersection of the halfspaces holding U
+        (``_boundaries_are_hulls``). The hull is convex, so connected, and
+        exceeds U iff an edge uy leaves U into it, i.e. U is not constant on
+        the class j of uy; y differs from u only at j. Besides the edges
+        across C, uy leaves U iff y has no edge in C, iff x (u's neighbour
+        across C) and y have the one common neighbour u: a second would be
+        y's neighbour across C, the vertex whose label is u's with C and j
+        flipped.
+    Passing proves G median. By (iii) each U is an intersection of convex
+    halfspaces, so convex. Take d(u,v) = d(u,w) = k and a common neighbour
+    x of v, w at k + 1, with xv in class C_v and xw in C_w. A u-w geodesic
+    crosses C_v at an edge y1y2 with y2 on x's side. C_w separates x from
+    y2 but not w from y2, so w lies in I(x, y2), inside U_xv (the ends of
+    C_v on x's side), and w has a neighbour y across C_v. By the labels d(v,y) = 1 and d(u,y) = k - 1. So
+    G satisfies the quadrangle condition and is modular, and a modular
+    partial cube is median (``median_classification``). Conversely a median
+    graph passes: (i) is the ``_one_bfs_labels`` docstring, (ii) holds on
+    any partial cube (the first edge of a u-v geodesic), and its U sets are
+    convex, and a convex set of a median graph is the intersection of the
+    halfspaces holding it (Mulder 1978).
+    """
+    found = Findings() if found is None else found
+    n, m = g.n, g.size
+    tree = m == n - 1
+    if not tree:
+        found.pairs = _common_neighbour_pairs(g)
+        count = found.pairs[2]
+        if (count >= 3).any() or m - n + 1 > np.count_nonzero(count == 2) // 2:
+            return None
+    dist = bfs_distances(g, 0)
+    if (dist < 0).any():
+        return None
+    if not tree:
+        found.bipartite = is_bipartite(g, dist)[0]
+        if not found.bipartite:
+            return None
+    labelled = _one_bfs_labels(g, dist)
+    if labelled is None:
+        return None
+    edge_class, sides = labelled[:2]
+    if not tree and not (_isometric(g, edge_class, sides) and _boundaries_are_hulls(g, found.pairs, edge_class, sides)):
+        return None
+    found.theta = ThetaClasses(n, g.eu, g.ev, *labelled)
+    return found.theta
+
+
 def _first_quadrangle_failure(a, pv, pw, count, centre):
     """Smallest root u at which the quadrangle condition fails, or None.
 
@@ -616,7 +773,7 @@ def _first_triple(a, start, zero):
     raise RuntimeError("local median tests and triple search disagree")
 
 
-def median_classification(g, d=None):
+def median_classification(g, d=None, found=None):
     """Classify a connected graph by its median structure.
 
     Decided by local tests (Bandelt and Chepoi, "Metric graph theory and
@@ -625,7 +782,12 @@ def median_classification(g, d=None):
     has no induced K_{2,3}, i.e. no pair with three common neighbours. Graphs
     with n < 3 are classified median by convention. Every median graph gets
     ``MEDIAN``: it is a partial cube by theorem (Mulder 1978) and, like the
-    generated median families, takes its crossing classes unchecked.
+    generated median families, takes its crossing classes unchecked. The
+    CLI first tries ``median_certificate``, which gives a median graph
+    ``MEDIAN`` and its classes with no distance matrix, so this runs only
+    on the graphs it turns away. ``found`` (a ``Findings``) hands over the
+    wedge pairs and the bipartite verdict that the certificate computed,
+    and receives the classes of a certified cut pass.
 
     The witness is the lexicographically first triple with no median
     (not_modular) or with at least two medians (modular_not_median). Every
@@ -647,17 +809,19 @@ def median_classification(g, d=None):
       the certified cut pass ``_cut_classes``, which passes iff G is a
       partial cube.
     - The witness, and that partial-cube verdict, are computed on first
-      read; ``compute`` rarely reads them.
+      read; ``compute`` rarely reads them. A verdict that passes leaves its
+      classes in ``found.theta``, so no second cut pass builds them.
     """
     if d is None:
         d = _connected_distances(g, "median_classification")
     if g.n < 3:
         return MEDIAN
-    bip, _ = is_bipartite(g, d.row(0))  # the BFS levels from vertex 0
+    found = Findings() if found is None else found
+    bip = is_bipartite(g, d.row(0))[0] if found.bipartite is None else found.bipartite  # levels from vertex 0
     if not bip:
         status, root, k23 = "not_modular", 0, False
     else:
-        pv, pw, count, centre = _common_neighbour_pairs(g)
+        pv, pw, count, centre = _common_neighbour_pairs(g) if found.pairs is None else found.pairs
         k23 = bool((count >= 3).any())
         deg = np.diff(g.indptr)
         keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
@@ -668,4 +832,11 @@ def median_classification(g, d=None):
     witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
     if not bip or k23:
         return GraphClassification(bip, False, status, witness)
-    return GraphClassification(True, _Deferred(lambda: _cut_classes(g, d.a) is not None), status, witness)
+
+    def partial_cube():
+        cut = _cut_classes(g, d.a)
+        if cut is not None:
+            found.theta = ThetaClasses(g.n, g.eu, g.ev, *cut)
+        return cut is not None
+
+    return GraphClassification(True, _Deferred(partial_cube), status, witness)

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _untimed(result):
+    """(code, stdout, stderr) of ``run`` without the graph label and timing lines."""
+    code, out, err = result
+    return code, [line for line in out.splitlines() if not line.startswith(("graph = ", "elapsed_s = "))], err
+
+
 class TestCompute:
     def test_grid_sw_formula(self, capsys):
         code, out, _ = run(capsys, "compute", "--gen", "grid:3,3", "--index", "sw")
@@ -362,6 +368,25 @@ class TestDeferredClassification:
         assert code == 0, err
         assert "sww3 = 480" in out and "method = brute" in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [(["compute", "--index", "ww", "--method", "cut"], "ww = 120"), (["classify"], "classes = 4")],
+        ids=["compute", "classify"],
+    )
+    def test_partial_cube_verdict_hands_its_classes_on(self, capsys, tmp_path, monkeypatch, argv, expected):
+        # C8 is a partial cube that is not median: one certified cut pass gives
+        # the verdict and the classes the cut or the class count reads
+        from steiner_indices import theta
+
+        f = tmp_path / "c8.txt"
+        f.write_text(edge_list_text(cycle(8)))
+        real, calls = theta._cut_classes, []
+        monkeypatch.setattr(theta, "_cut_classes", lambda *args: calls.append(args) or real(*args))
+        code, out, err = run(capsys, *argv, "--input", str(f))
+        assert code == 0, err
+        assert expected in out
+        assert len(calls) == 1
+
     def test_hung_k23_witness_is_its_leaves(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text(edge_list_text(hung_k23(4)))
@@ -467,17 +492,53 @@ class TestRefusalsBeforeDistances:
 
     def test_force_lifts_the_distance_matrix_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
-        f = tmp_path / "g.txt"
-        f.write_text(edge_list_text(grid(3, 3)))
-        refused = "error = graph too large for the all-pairs distance matrix (n=9 > 8); --force lifts the limit in compute and bench\n"
-        for argv in (["compute", "--input", str(f), "--index", "w"], ["bench", "--input", str(f)], ["classify", "--input", str(f)]):
-            assert run(capsys, *argv) == (2, "", refused)
-        code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "w", "--force")
-        assert code == 0 and "w = 72" in out
-        code, out, _ = run(capsys, "bench", "--input", str(f), "--force")
+        c10, g33 = tmp_path / "c10.txt", tmp_path / "g33.txt"
+        c10.write_text(edge_list_text(cycle(10)))
+        g33.write_text(edge_list_text(grid(3, 3)))
+        refused = "error = graph too large for the all-pairs distance matrix (n={} > 8); --force lifts the limit in compute and bench\n"
+        for argv in (["compute", "--input", str(c10), "--index", "w"], ["bench", "--input", str(c10)], ["classify", "--input", str(c10)]):
+            assert run(capsys, *argv) == (2, "", refused.format(10))
+        code, out, _ = run(capsys, "compute", "--input", str(c10), "--index", "w", "--force")
+        assert code == 0 and "w = 125" in out
+        # a median file is certified without distances: only bench's brute step needs them
+        for argv in (["compute", "--index", "w"], ["classify"]):
+            assert _untimed(run(capsys, *argv, "--input", str(g33))) == _untimed(run(capsys, *argv, "--gen", "grid:3,3"))
+        assert run(capsys, "bench", "--input", str(g33)) == (2, "", refused.format(9))
+        code, out, _ = run(capsys, "bench", "--input", str(g33), "--force")
         assert code == 0 and "equal = true" in out
         code, out, _ = run(capsys, "compute", "--gen", "grid:3,3", "--index", "ww", "--method", "cut")
         assert code == 0  # a generated median family needs no distances
+
+
+class TestMedianInputWithoutDistances:
+    @pytest.mark.parametrize("spec", ["grid:20,20", "hypercube:6", "tree:7,300"])
+    def test_median_file_answers_like_its_generator(self, capsys, tmp_path, monkeypatch, spec):
+        from steiner_indices import graph
+
+        def refuse(*args):
+            raise AssertionError("all-pairs distances were computed for a median graph")
+
+        monkeypatch.setattr(graph, "all_pairs_distances", refuse)
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(generate(parse_descriptor(spec))))
+        outputs = {}
+        for source in (["--input", str(f)], ["--gen", spec]):
+            code, out, err = run(capsys, "compute", *source, "--index", "sww")
+            assert code == 0, err
+            value = out.splitlines()[3]
+            code, out, err = run(capsys, "classify", *source)
+            assert code == 0, err
+            outputs[source[0]] = value, out.splitlines()[1:]
+        assert outputs["--input"] == outputs["--gen"]
+        assert "median_status = median" in outputs["--input"][1]
+
+    def test_median_file_above_the_distance_matrix_limit_is_cut(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 399)
+        f = tmp_path / "grid20.txt"
+        f.write_text(edge_list_text(grid(20, 20)))
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0, err
+        assert f"sww3 = {grid_sww3(20, 20)}\nmethod = cut\n" in out
 
 
 class TestClassify:

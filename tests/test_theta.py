@@ -817,6 +817,48 @@ class TestClassificationShortcuts:
         assert theta_classes(cycle(8), method="crossing").class_count == 4
 
 
+def certificate_corpus():
+    """Connected atlas graphs with n <= 7, ``classification_corpus``, 2000
+    seeded random bipartite graphs and connected induced subgraphs of Q3-Q6."""
+    rng = random.Random(2207)
+    atlas = [h for h in nx.graph_atlas_g() if 0 < h.number_of_nodes() <= 7 and nx.is_connected(h)]
+    graphs = [Graph.from_edges(h.number_of_nodes(), h.edges) for h in atlas] + classification_corpus()
+    graphs += [random_bipartite_graph(rng, rng.randrange(3, 25), rng.randrange(0, 25)) for _ in range(2000)]
+    for k in (3, 4, 5, 6):
+        q, found = hypercube(k), 0
+        while found < 150:
+            h = induced_subgraph(q, rng.sample(range(2**k), rng.randrange(3, min(2**k, 40) + 1)))
+            if (bfs_distances(h, 0) >= 0).all():
+                graphs.append(h)
+                found += 1
+    return graphs
+
+
+def test_median_certificate_equals_the_classifier():
+    median = 0
+    for g in certificate_corpus():
+        d = all_pairs_distances(g)
+        tc = theta_module.median_certificate(g)
+        assert (tc is not None) == (median_classification(g, d) is theta_module.MEDIAN), g.edges
+        if tc is not None:
+            crossing = theta_classes(g, d, method="crossing")
+            for name in ("edge_class", "sides", "gates", "crossings"):
+                assert np.array_equal(getattr(tc, name), getattr(crossing, name)), (name, g.edges)
+            median += 1
+    assert median >= 700
+
+
+def test_isometry_check_refuses_a_kept_labelling_with_equal_labels():
+    # K_{3,2} from a vertex of its three: the other two share a label, and
+    # the ends of each class still equal their hull
+    k32 = complete_bipartite(3, 2)
+    edge_class, sides = theta_module._one_bfs_labels(k32, bfs_distances(k32, 0))[:2]
+    assert theta_module._boundaries_are_hulls(k32, theta_module._common_neighbour_pairs(k32), edge_class, sides)
+    assert not theta_module._isometric(k32, edge_class, sides)
+    g = grid(3, 4)
+    assert theta_module._isometric(g, *theta_module._one_bfs_labels(g, bfs_distances(g, 0))[:2])
+
+
 @st.composite
 def connected_bipartite_graphs(draw, max_n=12):
     """A random labelled tree on 3..max_n vertices plus chords joining its two colours."""
