@@ -66,7 +66,6 @@ class Analysis:
         self.g = g
         self.desc = desc
         self.force = force  # build the distance matrix at any n
-        self.found = theta.Findings()  # what classification found, reused by the later steps
 
     @cached_property
     def d(self):
@@ -82,22 +81,41 @@ class Analysis:
         return graph.distance_moments(self.d)
 
     @cached_property
+    def certificate(self):
+        # above the distance matrix's limit the certificate may take no more
+        # memory than that matrix would at the limit
+        over = self.g.n > CLASSIFY_LIMIT and not self.force
+        return theta.median_certificate(self.g, 4 * CLASSIFY_LIMIT**2 if over else None)
+
+    @cached_property
+    def cut(self):  # the certified cut pass: Theta* of a partial cube, else None
+        return theta._cut_classes(self.g, self.d.a)
+
+    @cached_property
     def classification(self):
         if self.desc is not None:
             known = generators.family_classification(self.desc)
             if known is not None:
                 return known
-        elif theta.median_certificate(self.g, self.found) is not None:
+            return theta.median_classification(self.g, self.d, cut=lambda: self.cut)
+        cert = self.certificate
+        if cert.classes is not None:
             return theta.MEDIAN  # certified without the distance matrix
-        return theta.median_classification(self.g, self.d, self.found)
+        return theta.median_classification(self.g, self.d, cert.bipartite, cert.pairs, lambda: self.cut)
 
     @cached_property
     def theta(self):
-        # classes built while classifying are reused; other crossing classes
-        # read the distance matrix only if classification built it (one BFS
-        # labels a median graph)
+        # classes built while classifying are reused: the certificate's, or
+        # the cut pass's of a partial cube that is not median; other crossing
+        # classes read the distance matrix only if classification built it
+        # (one BFS labels a median graph)
+        built = self.__dict__
         if self.classification.partial_cube:
-            return self.found.theta or theta.theta_classes(self.g, self.__dict__.get("d"), method="crossing")
+            if self.desc is None and self.certificate.classes is not None:
+                return self.certificate.classes
+            if built.get("cut") is not None:
+                return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, *self.cut)
+            return theta.theta_classes(self.g, built.get("d"), method="crossing")
         if self.g.size > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.g.size})"

@@ -576,16 +576,17 @@ def _common_neighbour_pairs(g):
     return key[starts] // n, key[starts] % n, count, np.repeat(np.arange(n), deg)[first][order]
 
 
-@dataclass
-class Findings:
-    """What classifying one graph found on the way, for later steps to reuse:
-    the wedge pairs of ``_common_neighbour_pairs``, the bipartite verdict on
-    the BFS levels from vertex 0, and Theta classes that a certificate or a
-    certified cut pass built. Each is None until found."""
+@dataclass(frozen=True)
+class MedianCertificate:
+    """What ``median_certificate`` found on one graph."""
 
-    pairs: Optional[tuple] = None
-    bipartite: Optional[bool] = None
-    theta: Optional[ThetaClasses] = None
+    classes: Optional[ThetaClasses]  # the Theta classes of a certified median graph, else None
+    bipartite: Optional[bool] = None  # the verdict on the BFS levels from vertex 0, None if not reached
+    pairs: Optional[tuple] = None  # ``_common_neighbour_pairs``, None if not computed
+
+
+_WEDGE_BYTES = 64  # peak bytes per wedge of _common_neighbour_pairs: eight int64 arrays
+_SIDE_BYTES = 3  # peak bytes per (class, vertex) entry of the labelling and its checks
 
 
 def _edge_ids(g, x, y):
@@ -664,22 +665,37 @@ def _boundaries_are_hulls(g, pairs, edge_class, sides):
     return not (bit & np.uint64(1)).any()
 
 
-def median_certificate(g, found=None):
-    """The one-BFS Theta classes of a median graph, read from no distance
-    matrix, or None when G is not median. They equal
-    ``theta_classes(g, d, method="crossing")``. ``found`` (a ``Findings``)
-    receives the wedge pairs and the bipartite verdict once computed, and
-    the classes.
+def _turned_away(n, m, pairs):
+    """The wedge-pass rejects of ``median_certificate``: a pair with three
+    common neighbours, or fewer squares than m - n + 1."""
+    count = pairs[2]
+    return (count >= 3).any() or m - n + 1 > np.count_nonzero(count == 2) // 2
 
-    A tree (m = n - 1, every vertex reached from vertex 0) is median, and
-    its kept labelling is its Theta labelling. Any other G is turned away
-    when a pair has three common neighbours (an induced K_{2,3}), or when
-    m - n + 1 exceeds its number of squares, each square counted at its two
-    pairs with two common neighbours: a median graph is the 1-skeleton of a
-    CAT(0) cube complex (Chepoi 2000), which is simply connected, so its
-    squares span its cycle space. Then G must pass three checks:
-    (i) ``_one_bfs_labels`` keeps the labelling of one BFS from vertex 0,
-        whose levels also show G bipartite; each edge flips one coordinate.
+
+def median_certificate(g, max_bytes=None):
+    """A ``MedianCertificate`` of G, read from no distance matrix: its
+    ``classes`` are the one-BFS Theta classes of a median graph, equal to
+    ``theta_classes(g, d, method="crossing")``, and None when G is not
+    median. It also carries the bipartite verdict and the wedge pairs it
+    computed, for ``median_classification`` to reuse. With ``max_bytes``,
+    a graph whose wedge pass and side matrix would together take more
+    (``_WEDGE_BYTES`` a wedge, ``_SIDE_BYTES`` a class-vertex entry) is not
+    certified, and neither is allocated.
+
+    G must be connected: one BFS from vertex 0 reaches every vertex. A tree
+    (m = n - 1) is median, and its kept labelling is its Theta labelling.
+    Any other G is turned away when the BFS levels show it not bipartite,
+    and by the wedge pass (``_turned_away``), which runs before the BFS
+    only where it takes no more memory than the n x n int32 matrix of the
+    fallback, so a dense graph that is not bipartite builds no wedges. It
+    turns G away when a pair has three common neighbours (an induced
+    K_{2,3}), or when m - n + 1 exceeds its number of squares, each square
+    counted at its two pairs with two common neighbours: a median graph is
+    the 1-skeleton of a CAT(0) cube complex (Chepoi 2000), which is simply
+    connected, so its squares span its cycle space. Then G must pass three
+    checks:
+    (i) ``_one_bfs_labels`` keeps the labelling of the BFS from vertex 0;
+        each edge flips one coordinate.
     (ii) Each vertex u is the only vertex on u's side of every class of an
         edge at u (``_isometric``). So for u != v an edge uw flips a
         coordinate where u and v differ, and induction on the Hamming
@@ -700,37 +716,48 @@ def median_certificate(g, found=None):
     x of v, w at k + 1, with xv in class C_v and xw in C_w. A u-w geodesic
     crosses C_v at an edge y1y2 with y2 on x's side. C_w separates x from
     y2 but not w from y2, so w lies in I(x, y2), inside U_xv (the ends of
-    C_v on x's side), and w has a neighbour y across C_v. By the labels d(v,y) = 1 and d(u,y) = k - 1. So
-    G satisfies the quadrangle condition and is modular, and a modular
-    partial cube is median (``median_classification``). Conversely a median
+    C_v on x's side), and w has a neighbour y across C_v. By the labels
+    d(v,y) = 1 and d(u,y) = k - 1. So G satisfies the quadrangle
+    condition and is modular, and a modular partial cube is median
+    (``median_classification``). Conversely a median
     graph passes: (i) is the ``_one_bfs_labels`` docstring, (ii) holds on
     any partial cube (the first edge of a u-v geodesic), and its U sets are
     convex, and a convex set of a median graph is the intersection of the
     halfspaces holding it (Mulder 1978).
     """
-    found = Findings() if found is None else found
     n, m = g.n, g.size
     tree = m == n - 1
-    if not tree:
-        found.pairs = _common_neighbour_pairs(g)
-        count = found.pairs[2]
-        if (count >= 3).any() or m - n + 1 > np.count_nonzero(count == 2) // 2:
-            return None
-    dist = bfs_distances(g, 0)
+    deg = np.diff(g.indptr)
+    wedge_bytes = 0 if tree else _WEDGE_BYTES * int((deg * (deg - 1) // 2).sum())
+    if max_bytes is not None and wedge_bytes > max_bytes:
+        return MedianCertificate(None)
+    # the wedge pass turns most graphs away at once, and goes first where it
+    # is no larger than the n x n int32 matrix the fallback builds; a larger
+    # one waits until the BFS has shown G bipartite
+    pairs = _common_neighbour_pairs(g) if 0 < wedge_bytes <= 4 * n * n else None
+    if pairs is not None and _turned_away(n, m, pairs):
+        return MedianCertificate(None, None, pairs)
+    dist = bfs_distances(g, 0) if n else np.zeros(0, dtype=np.int32)
     if (dist < 0).any():
-        return None
-    if not tree:
-        found.bipartite = is_bipartite(g, dist)[0]
-        if not found.bipartite:
-            return None
+        return MedianCertificate(None, None, pairs)
+    if not (tree or is_bipartite(g, dist)[0]):
+        return MedianCertificate(None, False, pairs)
+    if not tree and pairs is None:
+        pairs = _common_neighbour_pairs(g)
+        if _turned_away(n, m, pairs):
+            return MedianCertificate(None, True, pairs)
+    if max_bytes is not None:
+        child = np.where(dist[g.eu] > dist[g.ev], g.eu, g.ev)
+        classes = np.count_nonzero(np.bincount(child, minlength=n) == 1)  # the vertices that open a coordinate
+        if wedge_bytes + _SIDE_BYTES * classes * n > max_bytes:
+            return MedianCertificate(None, True, pairs)
     labelled = _one_bfs_labels(g, dist)
     if labelled is None:
-        return None
+        return MedianCertificate(None, True, pairs)
     edge_class, sides = labelled[:2]
-    if not tree and not (_isometric(g, edge_class, sides) and _boundaries_are_hulls(g, found.pairs, edge_class, sides)):
-        return None
-    found.theta = ThetaClasses(n, g.eu, g.ev, *labelled)
-    return found.theta
+    if not tree and not (_isometric(g, edge_class, sides) and _boundaries_are_hulls(g, pairs, edge_class, sides)):
+        return MedianCertificate(None, True, pairs)
+    return MedianCertificate(ThetaClasses(n, g.eu, g.ev, *labelled), True, pairs)
 
 
 def _first_quadrangle_failure(a, pv, pw, count, centre):
@@ -773,7 +800,7 @@ def _first_triple(a, start, zero):
     raise RuntimeError("local median tests and triple search disagree")
 
 
-def median_classification(g, d=None, found=None):
+def median_classification(g, d=None, bipartite=None, pairs=None, cut=None):
     """Classify a connected graph by its median structure.
 
     Decided by local tests (Bandelt and Chepoi, "Metric graph theory and
@@ -785,9 +812,11 @@ def median_classification(g, d=None, found=None):
     generated median families, takes its crossing classes unchecked. The
     CLI first tries ``median_certificate``, which gives a median graph
     ``MEDIAN`` and its classes with no distance matrix, so this runs only
-    on the graphs it turns away. ``found`` (a ``Findings``) hands over the
-    wedge pairs and the bipartite verdict that the certificate computed,
-    and receives the classes of a certified cut pass.
+    on the graphs it turns away, and takes the certificate's bipartite
+    verdict and wedge pairs (``bipartite``, ``pairs``) where it computed
+    them. ``cut`` is the zero-argument call that runs the certified cut
+    pass, ``_cut_classes(g, d.a)`` by default; a caller that keeps its
+    result for the Theta classes builds them once.
 
     The witness is the lexicographically first triple with no median
     (not_modular) or with at least two medians (modular_not_median). Every
@@ -809,19 +838,17 @@ def median_classification(g, d=None, found=None):
       the certified cut pass ``_cut_classes``, which passes iff G is a
       partial cube.
     - The witness, and that partial-cube verdict, are computed on first
-      read; ``compute`` rarely reads them. A verdict that passes leaves its
-      classes in ``found.theta``, so no second cut pass builds them.
+      read; ``compute`` rarely reads them.
     """
     if d is None:
         d = _connected_distances(g, "median_classification")
     if g.n < 3:
         return MEDIAN
-    found = Findings() if found is None else found
-    bip = is_bipartite(g, d.row(0))[0] if found.bipartite is None else found.bipartite  # levels from vertex 0
+    bip = is_bipartite(g, d.row(0))[0] if bipartite is None else bipartite  # levels from vertex 0
     if not bip:
         status, root, k23 = "not_modular", 0, False
     else:
-        pv, pw, count, centre = _common_neighbour_pairs(g) if found.pairs is None else found.pairs
+        pv, pw, count, centre = _common_neighbour_pairs(g) if pairs is None else pairs
         k23 = bool((count >= 3).any())
         deg = np.diff(g.indptr)
         keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
@@ -832,11 +859,5 @@ def median_classification(g, d=None, found=None):
     witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
     if not bip or k23:
         return GraphClassification(bip, False, status, witness)
-
-    def partial_cube():
-        cut = _cut_classes(g, d.a)
-        if cut is not None:
-            found.theta = ThetaClasses(g.n, g.eu, g.ev, *cut)
-        return cut is not None
-
-    return GraphClassification(True, _Deferred(partial_cube), status, witness)
+    cut = cut or (lambda: _cut_classes(g, d.a))  # looked up when read
+    return GraphClassification(True, _Deferred(lambda: cut() is not None), status, witness)

@@ -492,9 +492,9 @@ class TestRefusalsBeforeDistances:
 
     def test_force_lifts_the_distance_matrix_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
-        c10, g33 = tmp_path / "c10.txt", tmp_path / "g33.txt"
+        c10, p9 = tmp_path / "c10.txt", tmp_path / "p9.txt"
         c10.write_text(edge_list_text(cycle(10)))
-        g33.write_text(edge_list_text(grid(3, 3)))
+        p9.write_text(edge_list_text(grid(1, 9)))
         refused = "error = graph too large for the all-pairs distance matrix (n={} > 8); --force lifts the limit in compute and bench\n"
         for argv in (["compute", "--input", str(c10), "--index", "w"], ["bench", "--input", str(c10)], ["classify", "--input", str(c10)]):
             assert run(capsys, *argv) == (2, "", refused.format(10))
@@ -502,12 +502,53 @@ class TestRefusalsBeforeDistances:
         assert code == 0 and "w = 125" in out
         # a median file is certified without distances: only bench's brute step needs them
         for argv in (["compute", "--index", "w"], ["classify"]):
-            assert _untimed(run(capsys, *argv, "--input", str(g33))) == _untimed(run(capsys, *argv, "--gen", "grid:3,3"))
-        assert run(capsys, "bench", "--input", str(g33)) == (2, "", refused.format(9))
-        code, out, _ = run(capsys, "bench", "--input", str(g33), "--force")
+            assert _untimed(run(capsys, *argv, "--input", str(p9))) == _untimed(run(capsys, *argv, "--gen", "path:9"))
+        assert run(capsys, "bench", "--input", str(p9)) == (2, "", refused.format(9))
+        code, out, _ = run(capsys, "bench", "--input", str(p9), "--force")
         assert code == 0 and "equal = true" in out
         code, out, _ = run(capsys, "compute", "--gen", "grid:3,3", "--index", "ww", "--method", "cut")
         assert code == 0  # a generated median family needs no distances
+
+    @pytest.mark.parametrize(
+        "g,refused",
+        [(grid(3, 3), "_common_neighbour_pairs"), (tree(3, 12), "_one_bfs_labels")],
+        ids=["grid-wedges", "tree-sides"],
+    )
+    def test_certificate_above_the_limit_keeps_to_the_matrix_budget(self, capsys, monkeypatch, tmp_path, g, refused):
+        # 4 * 8^2 = 256 bytes: the 3x3 grid's 22 wedges or the tree's 11 x 12
+        # sides would take more, so each is refused before either is built
+        from steiner_indices import theta
+
+        def refuse(*args):
+            raise AssertionError(f"{refused} ran above the budget")
+
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(g))
+        monkeypatch.setattr(theta, refused, refuse)
+        message = f"error = graph too large for the all-pairs distance matrix (n={g.n} > 8); --force lifts the limit in compute and bench\n"
+        for argv in (["compute", "--index", "sww"], ["classify"]):
+            assert run(capsys, *argv, "--input", str(f)) == (2, "", message)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww", "--method", "cut", "--force")
+        assert code == 0, err
+
+    def test_dense_non_bipartite_file_builds_no_wedge_pairs(self, capsys, monkeypatch, tmp_path):
+        from steiner_indices import theta
+
+        def refuse(*args):
+            raise AssertionError("wedge pairs were built for a graph that is not bipartite")
+
+        monkeypatch.setattr(theta, "_common_neighbour_pairs", refuse)
+        f = tmp_path / "k30.txt"
+        f.write_text(edge_list_text(complete(30)))
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
+        assert code == 0, err
+        assert "sww3 = 12180\nmethod = brute\n" in out  # C(3,2) * C(30,3)
+        code, out, err = run(capsys, "classify", "--input", str(f))
+        assert code == 0, err
+        assert "median_status = not_modular" in out
 
 
 class TestMedianInputWithoutDistances:

@@ -838,7 +838,11 @@ def test_median_certificate_equals_the_classifier():
     median = 0
     for g in certificate_corpus():
         d = all_pairs_distances(g)
-        tc = theta_module.median_certificate(g)
+        cert = theta_module.median_certificate(g)
+        tc = cert.classes
+        assert cert.bipartite in (None, is_bipartite(g)[0]), g.edges  # handed to the classifier when tc is None
+        if cert.pairs is not None:
+            assert all(map(np.array_equal, cert.pairs, theta_module._common_neighbour_pairs(g))), g.edges
         assert (tc is not None) == (median_classification(g, d) is theta_module.MEDIAN), g.edges
         if tc is not None:
             crossing = theta_classes(g, d, method="crossing")
