@@ -120,7 +120,8 @@ class Analysis:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
             )
-        return theta.theta_classes(self.g, self.d)
+        # no partial cube, so the cut pass refuses: the Theta scan alone
+        return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, theta._theta_classes_pairwise(self.g, self.d), None)
 
     @cached_property
     def pairs(self):

@@ -105,7 +105,8 @@ def check_k(n, k, guard=None):
         )
 
 
-_BLOCK_ELEMENTS = 1 << 19  # branch-vertex sums formed per numpy step
+_BLOCK_ELEMENTS = 1 << 19  # entries of a temporary formed per numpy step
+_SLAB_ROWS = 8  # u rows that share one pair-sum slab, at least
 _HIST_BINS = 1 << 20  # histogram bins (3 max d + 1) the k = 3 kernel allocates at most
 
 
@@ -116,14 +117,28 @@ def _triple_histogram(d, branch):
     + d(x,w)), P the sum of the pair distances: a minimum Steiner tree has at
     most 3 leaves, all terminals, so it is a path through its middle terminal
     or a spider whose centre has degree 3 (``branch``: the degree >= 3
-    vertices as a mask or indices; None takes all). The first term fills a
-    [u, v, w] tensor per block of u; per u, the sums d(x,u) + d(x,v) + d(x,w),
-    x leading, are formed for blocks of v > u and their minimum over x lowers
-    it; the entries with u < v < w are counted. The sums reach 3 max d and
-    run in the narrowest signed dtype that holds it (int8 to 127, int16 to
-    32767, else int32); a matrix whose sums would overflow int32 is refused
-    rather than wrapped, and one needing over ``_HIST_BINS`` bins before they
-    are allocated (n > max d on a graph).
+    vertices as a mask or indices; None takes all).
+
+    Per block of u from u0, a [u, v, w] tensor over v, w > u0 holds the first
+    term. For a chunk of x it is lowered from a pair-sum slab q[x, v, w] =
+    d(x,v) + d(x,w) over v, w > u0, built once per block: each u (or sub-block
+    of u) adds d(x,u) to the slab's rows v > u, a contiguous suffix of each
+    x's square, and takes the minimum over x, the leading axis. The entries
+    with u < v < w are counted; the slab also forms the w <= v sums, which
+    the count drops. The sums reach 3 max d and run in the narrowest signed
+    dtype that holds it (int8 to 127, int16 to 32767, else int32); a matrix
+    whose sums would overflow int32 is refused rather than wrapped, and one
+    needing over ``_HIST_BINS`` bins before they are allocated (n > max d on
+    a graph).
+
+    Memory, with M = max(``_BLOCK_ELEMENTS``, n^2) and b the sum dtype's
+    itemsize: the [u, v, w] tensor is one buffer of max(``_SLAB_ROWS``,
+    M // 4n^2) u rows, under max(8 n^2, M / 4) sums, reused by every block;
+    every temporary holds at most M sums or bools, and bincount's int64
+    copy of a count step at most M / 2 counts. With the sum-dtype copies of
+    d and of its branch rows, the arrays stay under b (10 n^2 + 4 M) + 6 M
+    bytes, plus the histogram and numpy's ufunc buffers (8192 entries an
+    operand).
     """
     n = d.n
     top = 3 * int(d.a.max())
@@ -134,23 +149,30 @@ def _triple_histogram(d, branch):
     a = d.a.astype(next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max))
     x = a if branch is None else a[branch]
     hist = np.zeros(top + 1, dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (4 * n * n))  # u rows per [u, v, w] block and its 3 temporaries
+    rows = max(1, _BLOCK_ELEMENTS // (n * n))  # u rows per first-term or count step
+    step = max(_SLAB_ROWS, rows // 4)  # u rows per [u, v, w] tensor: a quarter budget, or enough to share a slab
+    buf = np.empty(min(step, n) * n * n, dtype=a.dtype)  # one tensor's memory, reused by every block
     for u0 in range(0, n - 2, step):
-        u1 = min(n - 2, u0 + step)
-        auv, auw = a[u0:u1, u0 + 1 :, None], a[u0:u1, None, u0 + 1 :]
-        best = np.minimum(auv, auw)  # [i, j, l]: u = u0 + i, v = u0 + 1 + j, w = u0 + 1 + l
-        best += a[u0 + 1 :, u0 + 1 :]
-        np.minimum(best, auv + auw, out=best)
-        for i, u in enumerate(range(u0, u1) if len(x) else ()):
-            pair = x[:, u, None] + x[:, u + 1 :]  # [x, r]: d(x,u) + d(x,v), v = u + 1 + r
-            rows = max(1, _BLOCK_ELEMENTS // ((n - u) * len(x)))
-            for r0 in range(0, n - u - 2, rows):
-                r1 = min(r0 + rows, n - u - 2)
-                low = best[i, i + r0 : i + r1, i + 1 + r0 :]  # w from the block's first v + 1
-                np.minimum(low, (pair[:, r0:r1, None] + x[:, None, u + 2 + r0 :]).min(axis=0), out=low)
-        j = np.arange(n - u0 - 1)
-        keep = (np.arange(u1 - u0)[:, None, None] <= j[:, None]) & (j[:, None] < j)
-        hist += np.bincount(best[keep], minlength=top + 1)
+        s, j = min(step, n - 2 - u0), np.arange(n - u0 - 1)
+        best = buf[: s * j.size**2].reshape(s, j.size, j.size)  # [i, j, l]: u = u0 + i, v = u0 + 1 + j, w = u0 + 1 + l
+        for i0 in range(0, s, rows):
+            au = a[u0 + i0 : u0 + min(s, i0 + rows), u0 + 1 :]
+            auv, auw = au[:, :, None], au[:, None]
+            low = np.minimum(auv, auw, out=best[i0 : i0 + rows])
+            low += a[u0 + 1 :, u0 + 1 :]
+            np.minimum(low, auv + auw, out=low)
+        chunk = max(1, _BLOCK_ELEMENTS // j.size**2)  # x per slab
+        for x0 in range(0, len(x), chunk):
+            xs = x[x0 : x0 + chunk, u0:]  # [c, 0]: d(x, u0)
+            q = xs[:, 1:, None] + xs[:, None, 1:]  # the slab, [c, j, l]: d(x,v) + d(x,w)
+            sub = max(1, _BLOCK_ELEMENTS // q.size)  # u rows per slab sum
+            for i0 in range(0, s, sub):
+                i1 = min(s, i0 + sub)
+                low = best[i0:i1, i0:]  # rows v <= u of the later u are never counted
+                np.minimum(low, (q[:, None, i0:] + xs[:, i0:i1, None, None]).min(axis=0), out=low)
+        for i0 in range(0, s, rows):
+            keep = (np.arange(i0, min(s, i0 + rows))[:, None, None] <= j[:, None]) & (j[:, None] < j)
+            hist += np.bincount(best[i0 : i0 + rows][keep], minlength=top + 1)
     return hist
 
 
@@ -162,10 +184,11 @@ def steiner_hosoya(g, d, k, guard=None):
     """
     check_k(g.n, k, guard)
     if k == 3:
-        adj = np.zeros((g.n, g.n), dtype=bool)
-        adj[g.eu, g.ev] = adj[g.ev, g.eu] = True
-        # a graph's distance matrix is 1 exactly at its edges, so d is g's if it is any graph's
-        branch = np.diff(g.indptr) >= 3 if np.array_equal(d.a == 1, adj) else None
+        # a graph's distance matrix is 1 exactly at its edges, so d is g's if it is any graph's:
+        # 2m 1s, at both ends of every edge
+        ends = np.concatenate((g.eu, g.ev)), np.concatenate((g.ev, g.eu))
+        own = np.count_nonzero(d.a == 1) == 2 * g.size and (d.a[ends] == 1).all()
+        branch = np.diff(g.indptr) >= 3 if own else None
         hist = _triple_histogram(d, branch).tolist()
         return SteinerHosoya(k=3, coeffs={m: c for m, c in enumerate(hist) if c})
     coeffs = {}

@@ -387,6 +387,21 @@ class TestDeferredClassification:
         assert expected in out
         assert len(calls) == 1
 
+    def test_failed_cut_pass_is_not_repeated_for_the_theta_scan(self, capsys, tmp_path, monkeypatch):
+        # bipartite, no K_{2,3}, not modular and no partial cube: the cut pass
+        # refuses once for the verdict, and the Theta scan does not rerun it
+        from steiner_indices import theta
+
+        g = Graph.from_edges(7, [(0, 2), (0, 4), (1, 3), (1, 6), (2, 6), (3, 4), (3, 5), (5, 6)])
+        f = tmp_path / "g.txt"
+        f.write_text(edge_list_text(g))
+        real, calls = theta._cut_classes, []
+        monkeypatch.setattr(theta, "_cut_classes", lambda *args: calls.append(args) or real(*args))
+        code, out, err = run(capsys, "classify", "--input", str(f))
+        assert code == 0, err
+        assert "partial_cube = false" in out
+        assert len(calls) == 1
+
     def test_hung_k23_witness_is_its_leaves(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text(edge_list_text(hung_k23(4)))

@@ -1,8 +1,11 @@
 """Steiner distances, the k-Hosoya polynomial, and the k-index computations."""
 
+import inspect
 import random
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -215,12 +218,15 @@ def _all_x_hosoya(d):
 
 
 def _kernel_lines(g, d):
-    """steiner_hosoya at k = 3, and the number of lines the kernel executes in it."""
-    code, lines = steiner_module._triple_histogram.__code__, 0
+    """steiner_hosoya at k = 3, and how often the kernel executes each of its
+    source lines, keyed by the line's text."""
+    code = steiner_module._triple_histogram.__code__
+    source, first = inspect.getsourcelines(steiner_module._triple_histogram)
+    lines = Counter()
 
     def trace(frame, event, arg):
-        nonlocal lines
-        lines += frame.f_code is code and event == "line"
+        if frame.f_code is code and event == "line":
+            lines[source[frame.f_lineno - first].strip()] += 1
         return trace if frame.f_code is code else None
 
     old = sys.gettrace()
@@ -230,6 +236,17 @@ def _kernel_lines(g, d):
     finally:
         sys.settrace(old)
     return p, lines
+
+
+def _runs(lines, fragment):
+    """Executions of the kernel's lines that contain ``fragment``."""
+    return sum(c for text, c in lines.items() if fragment in text)
+
+
+def _spur_path(n, every):
+    """A path on n vertices with a pendant vertex at every ``every``-th one."""
+    hubs = range(1, n - 1, every)
+    return Graph.from_edges(n + len(hubs), [(v, v + 1) for v in range(n - 1)] + [(h, n + i) for i, h in enumerate(hubs)])
 
 
 @st.composite
@@ -283,17 +300,51 @@ class TestTripleKernel:
             assert steiner_hosoya(path(n), d, 3).coeffs == expected
 
     def test_block_splits_leave_histograms_unchanged(self, monkeypatch):
-        graphs = _kernel_corpus() + _pruning_corpus()
+        spurs = _spur_path(64, 4)  # distances past 42: int16 sums, 16 branch vertices
+        graphs = _kernel_corpus() + _pruning_corpus() + [spurs]
         degrees = [np.diff(g.indptr) for g in graphs]
         assert any(deg.max() <= 2 for deg in degrees) and any(deg.max() >= 3 for deg in degrees)
         ds = [all_pairs_distances(g) for g in graphs]
+        assert 3 * ds[-1].a.max() > np.iinfo(np.int8).max
         expected = [steiner_hosoya(g, d, 3).coeffs for g, d in zip(graphs, ds)]
+        assert expected[-1] == _all_x_hosoya(ds[-1])
         for g, d, coeffs in zip(graphs, ds, expected):
-            # one v row per step, then three rows at root 0, splitting its n - 2
-            # rows; then three u rows per [u, v, w] block, splitting u's n - 2
-            for block in (1, 3 * g.n * g.n, 12 * g.n * g.n):
+            x = int((np.diff(g.indptr) >= 3).sum())
+            # one x per slab and one u per slab sum and per first-term or count
+            # step; then three x per slab and three u rows per step; then twelve
+            # of each; then one slab of every x, with sums of two or more u rows
+            for block in (1, 3 * g.n * g.n, 12 * g.n * g.n, 2 * max(1, x) * g.n * g.n):
                 monkeypatch.setattr(steiner_module, "_BLOCK_ELEMENTS", block)
-                assert steiner_hosoya(g, d, 3).coeffs == coeffs, (g.edges, block)
+                p, lines = _kernel_lines(g, d)
+                assert p.coeffs == coeffs, (g.edges, block)
+                if g is spurs:  # the splits happened
+                    blocks, slabs = _runs(lines, "best = buf["), _runs(lines, "q = xs[")
+                    sums, steps = _runs(lines, ".min(axis=0)"), _runs(lines, "au = a[")
+                    assert sums > slabs  # u in several sub-blocks
+                    assert steps > blocks if block <= 3 * g.n * g.n else steps == blocks
+                    if block <= 12 * g.n * g.n:  # x in several chunks
+                        assert slabs > blocks
+                    else:  # one slab per block, and some sums serve several u
+                        assert slabs == blocks and sums < g.n - 2
+
+    def test_kernel_memory_stays_within_its_stated_bound(self, monkeypatch):
+        g = random_connected_graph(random.Random(5), 200, 100)
+        d, branch = all_pairs_distances(g), np.diff(g.indptr) >= 3
+        top = 3 * int(d.a.max())
+        assert top <= np.iinfo(np.int8).max and branch.sum() > 20  # int8 sums: b = 1
+        for block in (steiner_module._BLOCK_ELEMENTS, 1 << 12):
+            monkeypatch.setattr(steiner_module, "_BLOCK_ELEMENTS", block)
+            m = max(block, g.n * g.n)
+            # the docstring's bound, the histogram and bincount's counts, and
+            # numpy's buffers for three int64 operands
+            bound = (10 * g.n * g.n + 4 * m) + 6 * m + 16 * (top + 1) + 3 * 8192 * 8
+            tracemalloc.start()
+            try:
+                steiner_module._triple_histogram(d, branch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (block, peak, bound)
 
     def test_spider_centres_beat_every_terminal(self):
         # the leg ends' optimum is the degree-3 centre alone; terminals cost more
@@ -321,8 +372,10 @@ class TestTripleKernel:
             d = all_pairs_distances(g)
             p, lines = _kernel_lines(g, d)
             assert p.coeffs == _all_x_hosoya(d)
-            # a handful of lines per [u, v, w] block, and at least four per u in the loop
-            assert lines < 80 if few else lines > 4 * 78
+            if few:  # a handful of lines per [u, v, w] block, no slab
+                assert sum(lines.values()) < 80 and _runs(lines, "q = xs[") == 0
+            else:  # the branch step ran: a slab per block and its sums
+                assert _runs(lines, "q = xs[") > 0 and _runs(lines, ".min(axis=0)") > 0
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(connected_graphs())
