@@ -67,9 +67,13 @@ class Analysis:
         self.desc = desc
         self.force = force  # build the distance matrix at any n
 
+    @property
+    def over_limit(self):  # the distance matrix is refused at this n
+        return self.g.n > CLASSIFY_LIMIT and not self.force
+
     @cached_property
     def d(self):
-        if self.g.n > CLASSIFY_LIMIT and not self.force:
+        if self.over_limit:
             raise PreconditionError(
                 f"graph too large for the all-pairs distance matrix (n={self.g.n} > {CLASSIFY_LIMIT}); "
                 "--force lifts the limit in compute and bench"
@@ -84,8 +88,7 @@ class Analysis:
     def certificate(self):
         # above the distance matrix's limit the certificate may take no more
         # memory than that matrix would at the limit
-        over = self.g.n > CLASSIFY_LIMIT and not self.force
-        return theta.median_certificate(self.g, 4 * CLASSIFY_LIMIT**2 if over else None)
+        return theta.median_certificate(self.g, 4 * CLASSIFY_LIMIT**2 if self.over_limit else None)
 
     @cached_property
     def cut(self):  # the certified cut pass: Theta* of a partial cube, else None
@@ -101,6 +104,8 @@ class Analysis:
         cert = self.certificate
         if cert.classes is not None:
             return theta.MEDIAN  # certified without the distance matrix
+        if cert.bipartite is False and not self.over_limit:
+            return theta.not_bipartite(lambda: self.d)  # the distances wait for the witness
         return theta.median_classification(self.g, self.d, cert.bipartite, cert.pairs, lambda: self.cut)
 
     @cached_property
@@ -108,7 +113,12 @@ class Analysis:
         # classes built while classifying are reused: the certificate's, or
         # the cut pass's of a partial cube that is not median; other crossing
         # classes read the distance matrix only if classification built it
-        # (one BFS labels a median graph)
+        # (one BFS labels a median graph). A product family's classes are its
+        # factors', lifted: each distinct factor is built and labelled once
+        factors = self.desc and generators.cartesian_factors(self.desc)
+        if factors is not None:
+            built = {f: theta.theta_classes(generators.generate(f), method="crossing") for f in dict.fromkeys(factors)}
+            return theta.ProductClasses(tuple(built[f] for f in factors))
         built = self.__dict__
         if self.classification.partial_cube:
             if self.desc is None and self.certificate.classes is not None:

@@ -50,7 +50,7 @@ def cut_report(tc, pc, k, classification):
                    + sum_v hist[v] C(v,k)
     """
     n = tc.n
-    check_exact(n, tc.edge_class.size, k, classification)
+    check_exact(n, tc.m, k, classification)
     d = tc.class_count
     total = comb(n, k)
     unsplit = sum(comb(a, k) + comb(b, k) for a, b in tc.side_counts)

@@ -106,6 +106,17 @@ def generate(desc):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def cartesian_factors(desc):
+    """The factors of a product family as descriptors, or None for any other
+    kind: grid:m,n is path:m x path:n (vertex (i, j) is i * n + j), and
+    hypercube:k is k copies of path:2."""
+    if desc.kind == "grid":
+        return tuple(GeneratorDescriptor("path", (p,)) for p in desc.params)
+    if desc.kind == "hypercube":
+        return (GeneratorDescriptor("path", (2,)),) * desc.params[0]
+    return None
+
+
 def family_classification(desc):
     """Known classification for generated families, or None.
 

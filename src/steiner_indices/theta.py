@@ -7,9 +7,10 @@ two connected components (the class's sides), and the side bipartitions give
 an isometric hypercube embedding.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,10 @@ class ThetaClasses:
     def class_count(self):
         return int(self.edge_class.max(initial=-1)) + 1
 
+    @property
+    def m(self):
+        return self.edge_class.size
+
     @cached_property
     def classes(self):
         by_class = np.argsort(self.edge_class, kind="stable")
@@ -77,6 +82,60 @@ class ThetaClasses:
     @property
     def side_counts(self):
         return tuple((self.n - s1, s1) for s1 in self.side_sizes.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class ProductClasses:
+    """Theta classes of a Cartesian product G = F_1 x ... x F_r of connected
+    graphs, read from the ``ThetaClasses`` of its factors (``factors[l]`` is
+    that of F_l; a repeated factor is one object): n, m, the class count and
+    the side sizes, with no labels or side matrix over G.
+
+    Distances in G add over the coordinates, d(x, u) = sum_l d_l(x_l, u_l),
+    and an edge changes one coordinate, its direction (Imrich and Klavžar,
+    *Product Graphs*, Wiley 2000). Take edges xy of direction i and uv of
+    direction j. In the Theta test d(x,u) + d(y,v) vs d(x,v) + d(y,u), the
+    terms of a coordinate l other than i and j agree (x_l = y_l, u_l = v_l),
+    and so do those of i when j != i (u_i = v_i) and those of j when i != j.
+    So edges of two directions are never related, and two edges of one
+    direction are related iff their projections are related in that factor.
+    A chain of related edges thus keeps its direction and projects to a
+    chain, and a chain in a factor lifts through any lifts of its edges: the
+    Theta* classes of G are the factors' classes, lifted, each to every edge
+    of its direction whose projection lies in it. A class of F_i with sides
+    A and B lifts to the class with sides A and B times the other factors,
+    of |A| N / n_i and |B| N / n_i vertices, N = prod_l n_l; side 0 holds
+    vertex 0 in both. So two classes of F_i have the quadrants of their
+    projections times the other factors, of |Q| N / n_i vertices, and a
+    class of F_i and one of F_j, j != i, the quadrants X x Y times the rest,
+    X a side of the one and Y of the other, of |X| |Y| N / (n_i n_j)
+    vertices (``pair_counts``).
+    """
+
+    factors: tuple
+
+    @cached_property
+    def n(self):
+        return prod(f.n for f in self.factors)
+
+    @property
+    def m(self):
+        return sum(f.m * (self.n // f.n) for f in self.factors)
+
+    @property
+    def class_count(self):
+        return sum(f.class_count for f in self.factors)
+
+    @cached_property
+    def side_sizes(self):
+        """Read-only int64 array of the size of side 1 of each lifted class,
+        factor by factor."""
+        scaled = [f.side_sizes.astype(np.int64) * (self.n // f.n) for f in self.factors]
+        s1 = np.concatenate([np.zeros(0, dtype=np.int64), *scaled])
+        s1.flags.writeable = False
+        return s1
+
+    side_counts = ThetaClasses.side_counts
 
 
 def _theta_classes_pairwise(g, d):
@@ -147,16 +206,20 @@ def _one_bfs_labels(g, dist):
     first = np.cumsum(npar) - npar  # parents of v: parent[first[v] : first[v] + npar[v]]
     last = first + npar - 1
     p1, p2 = parent[first], parent[last]
-    order = np.argsort(dist, kind="stable")  # by level, then vertex id
-    opener = order[npar[order] == 1]
+    order = np.argsort(dist, kind="stable")  # BFS-visit order: by level, then vertex id
+    at = np.empty_like(order)
+    at[order] = np.arange(g.n)  # the position of each vertex in that order
+    opens = np.flatnonzero(npar[order] == 1)
+    opener = order[opens]
     coord = np.arange(opener.size)
     words = max(1, -(-opener.size // 64))  # one word at least: c may be 0
-    labels = np.zeros((g.n, words), dtype="<u8")
-    labels[opener, coord >> 6] = np.uint64(1) << (coord & 63).astype(np.uint64)
+    labels = np.zeros((g.n, words), dtype="<u8")  # in BFS-visit order: each level is one slice
+    labels[opens, coord >> 6] = np.uint64(1) << (coord & 63).astype(np.uint64)
+    q1, q2 = at[p1[order]], at[p2[order]]
     level = np.searchsorted(dist[order], np.arange(1, dist.max(initial=0) + 2))
     for lo, hi in zip(level[:-1].tolist(), level[1:].tolist()):
-        v = order[lo:hi]
-        labels[v] |= labels[p1[v]] | labels[p2[v]]
+        labels[lo:hi] |= labels[q1[lo:hi]] | labels[q2[lo:hi]]
+    labels = labels[at]  # back to vertex order
     flips = np.empty(eu.size, dtype=np.int64)
     step = max(1, _GRAM_BLOCK // words)
     for lo in range(0, eu.size, step):
@@ -420,6 +483,10 @@ def pair_counts(tc):
     ``hist.sum() == 4 * C(d, 2)``. With a_i the size of side 1 (H_i) of
     class i, all four follow from a_i, a_j and n_ij^11 = |H_i & H_j|.
 
+    A ``ProductClasses`` composes its histogram from its factors'
+    (``_product_pair_counts``); the rest of this text is about classes with
+    a side matrix (``_side_pair_counts``).
+
     With a one-BFS labelling (``tc.gates``, ``tc.crossings``), let z_i be the
     gate of class i, and call H_i, H_j crossing when all four quadrants are
     nonempty. Three facts hold for any kept labelling, partial cube or not:
@@ -444,6 +511,15 @@ def pair_counts(tc):
     labelled path: every partial sum is an integer of at most n, exact below
     2^24; a larger n is refused rather than rounded.
     """
+    if isinstance(tc, ProductClasses):
+        return _product_pair_counts(tc)
+    return _side_pair_counts(tc)
+
+
+def _side_pair_counts(tc):
+    """``pair_counts`` of classes with a side matrix. A product's factors are
+    counted here, not through the public name, so that ``pair_counts`` runs
+    once per graph."""
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
@@ -467,6 +543,32 @@ def pair_counts(tc):
         upper = np.arange(d) > np.arange(lo, hi)[:, None]  # j > i
         for quadrant in (n00, n01, n10, n11):
             hist += np.bincount(quadrant[upper], minlength=n + 1)
+    return hist
+
+
+def _product_pair_counts(tc):
+    """``pair_counts`` of a ``ProductClasses``, from the quadrant sizes of its
+    docstring: each distinct factor F (n_F vertices, c copies) adds c times
+    its own histogram at v N / n_F, and each pair of factors, of distinct
+    copies, adds the products of their side-size counts at x y N / (n_F n_G).
+    Raises IntegralityError unless the histogram sums to 4 C(d, 2)."""
+    n = tc.n
+    hist = np.zeros(n + 1, dtype=np.int64)
+    copies = list(Counter(tc.factors).items())
+    sides = []  # each factor's side sizes, over both sides of every class, and how many sides have each
+    for f, c in copies:
+        hist[:: n // f.n] += c * _side_pair_counts(f)  # bins 0, N / n_F, ..., N
+        count = np.bincount(np.concatenate((f.side_sizes, f.n - f.side_sizes)), minlength=f.n + 1)
+        (size,) = count.nonzero()
+        sides.append((size, count[size]))
+    for i, ((f, cf), (x, nx)) in enumerate(zip(copies, sides)):
+        for (h, ch), (y, ny) in zip(copies[i:], sides[i:]):
+            pairs = cf * (cf - 1) // 2 if h is f else cf * ch
+            if pairs:
+                bins = x[:, None] * y * (n // (f.n * h.n))  # one bin may take many pairs of sizes
+                np.add.at(hist, bins.ravel(), (pairs * nx[:, None] * ny).ravel())
+    if hist.sum() != 4 * comb(tc.class_count, 2):
+        raise IntegralityError("composed quadrant counts do not sum to 4 C(d, 2)")
     return hist
 
 
@@ -800,6 +902,14 @@ def _first_triple(a, start, zero):
     raise RuntimeError("local median tests and triple search disagree")
 
 
+def not_bipartite(d):
+    """The classification of a connected graph that is not bipartite: not
+    modular, no partial cube, and its witness the first triple with no
+    median, which starts at root 0 (``median_classification``). The witness
+    reads the distances ``d()`` on its first read."""
+    return GraphClassification(False, False, "not_modular", _Deferred(lambda: _first_triple(d().a, 0, True)))
+
+
 def median_classification(g, d=None, bipartite=None, pairs=None, cut=None):
     """Classify a connected graph by its median structure.
 
@@ -844,20 +954,18 @@ def median_classification(g, d=None, bipartite=None, pairs=None, cut=None):
         d = _connected_distances(g, "median_classification")
     if g.n < 3:
         return MEDIAN
-    bip = is_bipartite(g, d.row(0))[0] if bipartite is None else bipartite  # levels from vertex 0
-    if not bip:
-        status, root, k23 = "not_modular", 0, False
-    else:
-        pv, pw, count, centre = _common_neighbour_pairs(g) if pairs is None else pairs
-        k23 = bool((count >= 3).any())
-        deg = np.diff(g.indptr)
-        keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
-        root = _first_quadrangle_failure(d.a, pv[keep], pw[keep], count[keep], centre[np.repeat(keep, count)])
-        if root is None and not k23:
-            return MEDIAN
-        status, root = ("modular_not_median", 0) if root is None else ("not_modular", root)
+    if not (is_bipartite(g, d.row(0))[0] if bipartite is None else bipartite):  # levels from vertex 0
+        return not_bipartite(lambda: d)
+    pv, pw, count, centre = _common_neighbour_pairs(g) if pairs is None else pairs
+    k23 = bool((count >= 3).any())
+    deg = np.diff(g.indptr)
+    keep = count < np.minimum(deg[pv], deg[pw])  # N(v) and N(w) not nested: see above
+    root = _first_quadrangle_failure(d.a, pv[keep], pw[keep], count[keep], centre[np.repeat(keep, count)])
+    if root is None and not k23:
+        return MEDIAN
+    status, root = ("modular_not_median", 0) if root is None else ("not_modular", root)
     witness = _Deferred(lambda: _first_triple(d.a, root, status == "not_modular"))
-    if not bip or k23:
-        return GraphClassification(bip, False, status, witness)
+    if k23:
+        return GraphClassification(True, False, status, witness)
     cut = cut or (lambda: _cut_classes(g, d.a))  # looked up when read
     return GraphClassification(True, _Deferred(lambda: cut() is not None), status, witness)

@@ -10,7 +10,7 @@ import pytest
 
 import steiner_indices
 from helpers import complete, complete_bipartite, cycle, edge_list_text, grid, hung_k23, random_connected_graph, tree
-from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor
+from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor, theta_classes
 from steiner_indices.cli import main
 
 
@@ -24,6 +24,18 @@ def _untimed(result):
     """(code, stdout, stderr) of ``run`` without the graph label and timing lines."""
     code, out, err = result
     return code, [line for line in out.splitlines() if not line.startswith(("graph = ", "elapsed_s = "))], err
+
+
+def _labelled_sizes(monkeypatch):
+    """The vertex counts of the graphs and classes that the labelling and the
+    side-matrix pair counts are given, as a list that fills as they run."""
+    from steiner_indices import theta
+
+    sizes = []
+    for name in ("_one_bfs_labels", "_side_pair_counts", "_labelled_pair_counts"):
+        original = getattr(theta, name)
+        monkeypatch.setattr(theta, name, lambda x, *a, f=original: sizes.append(x.n) or f(x, *a))
+    return sizes
 
 
 class TestCompute:
@@ -164,15 +176,26 @@ class TestCompute:
         assert expected in out and "method = cut" in out
 
     def test_grid_cut_forms_no_full_gram(self, capsys, monkeypatch):
-        # the only other way pair_counts counts quadrants is the d x d Gram
-        from steiner_indices import theta
-
-        labelled, calls = theta._labelled_pair_counts, []
-        monkeypatch.setattr(theta, "_labelled_pair_counts", lambda tc: calls.append(tc) or labelled(tc))
+        # the classes and quadrant counts come from the 100-vertex path
+        # factors: no labelling, Gram or labelled count over the 10^4 vertices
+        sizes = _labelled_sizes(monkeypatch)
         code, out, err = run(capsys, "compute", "--gen", "grid:100,100", "--index", "sww", "--method", "cut")
         assert code == 0, err
         assert f"sww3 = {grid_sww3(100, 100)}" in out and "method = cut" in out
-        assert len(calls) == 1
+        assert sizes and max(sizes) == 100
+
+    def test_two_by_two_grid_cut_equals_brute_force(self, capsys):
+        for index, value in (("sw", 8), ("sww", 12)):  # four triples, each spanning a path of two edges
+            code, out, err = run(capsys, "compute", "--gen", "grid:2,2", "--index", index, "--method", "cut", "--verify")
+            assert code == 0, err
+            assert f"{index}3 = {value}\nmethod = cut\n" in out and "verified = true" in out
+
+    def test_million_vertex_grid_is_cut_from_its_factors(self, capsys, monkeypatch):
+        sizes = _labelled_sizes(monkeypatch)
+        code, out, err = run(capsys, "compute", "--gen", "grid:1000,1000", "--index", "sww", "--method", "cut")
+        assert code == 0, err
+        assert f"sww3 = {grid_sww3(1000, 1000)}\nmethod = cut\n" in out
+        assert sizes and max(sizes) == 1000
 
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]
@@ -549,6 +572,22 @@ class TestRefusalsBeforeDistances:
         code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww", "--method", "cut", "--force")
         assert code == 0, err
 
+    def test_non_bipartite_file_is_refused_without_all_pairs_distances(self, capsys, monkeypatch, tmp_path):
+        # one BFS shows K_320 not bipartite; the refusals read no witness
+        from steiner_indices import graph, theta
+
+        def refuse(*args):
+            raise AssertionError("all-pairs distances were computed for a refused run")
+
+        f = tmp_path / "k320.txt"
+        f.write_text(edge_list_text(complete(320)))
+        monkeypatch.setattr(graph, "all_pairs_distances", refuse)
+        monkeypatch.setattr(theta, "all_pairs_distances", refuse)
+        assert run(capsys, "compute", "--input", str(f), "--index", "sww") == (
+            2, "", "error = C(320,3) = 5410240 subsets exceeds the enumeration guard 5000000; --force lifts it\n")
+        assert run(capsys, "classify", "--input", str(f)) == (
+            2, "", "error = graph too large for the pairwise Theta scan (|E|=51040)\n")
+
     def test_dense_non_bipartite_file_builds_no_wedge_pairs(self, capsys, monkeypatch, tmp_path):
         from steiner_indices import theta
 
@@ -629,6 +668,15 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--gen", "cycle:6")
         assert code == 2
         assert "graph is not modular (witness triple 0,2,4)" in err
+
+    def test_product_class_counts_equal_the_built_graph(self, capsys):
+        for spec in ("grid:1,1", "grid:1,7", "grid:5,8", "hypercube:0", "hypercube:1", "hypercube:6"):
+            g = generate(parse_descriptor(spec))
+            classes = theta_classes(g, method="crossing").class_count
+            for command in ("classify", "bench") if g.n >= 3 else ("classify",):  # bench runs k = 3
+                code, out, err = run(capsys, command, "--gen", spec)
+                assert code == 0, err
+                assert f"\nclasses = {classes}\n" in out, (command, spec)
 
     def test_guard_skips_brute(self, capsys):
         code, out, _ = run(capsys, "bench", "--gen", "grid:20,20", "--max-brute", "1000")

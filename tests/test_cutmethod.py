@@ -275,3 +275,17 @@ class TestDifferential:
         g = tree(3, 12)
         d, tc, pc, cls = cut_setup(g)
         assert cut_report(tc, pc, 4, cls) == steiner_k_indices_brute(g, d, 4)
+
+
+def test_product_cut_equals_the_grid_formulas():
+    # the classes of each path are built once and lifted to every grid
+    from steiner_indices import generate, grid_sw3, grid_sww3, parse_descriptor, theta
+
+    paths = {p: theta_classes(generate(parse_descriptor(f"path:{p}")), method="crossing") for p in range(2, 61)}
+    for m in range(2, 61):
+        for n in range(2, 61):
+            tc = theta.ProductClasses((paths[m], paths[n]))
+            sw, sww = cut_report(tc, pair_counts(tc), 3, theta.MEDIAN)
+            assert sw == grid_sw3(m, n), (m, n)
+            if (m, n) != (2, 2):  # the formula refuses 2 x 2
+                assert sww == grid_sww3(m, n), (m, n)

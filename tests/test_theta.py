@@ -930,6 +930,51 @@ class TestWedgeEnumeration:
             assert theta_module._first_quadrangle_failure(a, pv, pw, count, centre) is None
 
 
+def product_classes(spec):
+    """The classes ``compute`` uses for a generated product family."""
+    from steiner_indices import cli, generate, parse_descriptor
+
+    desc = parse_descriptor(spec)
+    return cli.Analysis(generate(desc), desc).theta
+
+
+class TestProductClasses:
+    def test_composed_sides_and_histogram_equal_the_built_product(self):
+        from steiner_indices import generate, parse_descriptor
+
+        specs = [f"grid:{m},{n}" for m in range(1, 13) for n in range(1, 13)] + [f"hypercube:{k}" for k in range(9)]
+        for spec in specs:
+            g = generate(parse_descriptor(spec))
+            built, composed = theta_classes(g, method="crossing"), product_classes(spec)
+            assert isinstance(composed, theta_module.ProductClasses), spec
+            assert (composed.n, composed.m, composed.class_count) == (g.n, g.size, built.class_count), spec
+            assert sorted(composed.side_counts) == sorted(built.side_counts), spec
+            assert np.array_equal(pair_counts(composed), pair_counts(built)), spec
+
+    def test_any_partial_cube_factors_compose(self):
+        # the lifting holds for every pair of connected factors with sides:
+        # a tree, C6 and C8 (partial cubes that are not median), a grid
+        factors = [tree(3, 9), cycle(6), cycle(8), grid(2, 3), path(1)]
+        classes = [theta_classes(f) for f in factors]
+        for (f, fc), (h, hc) in combinations(zip(factors, classes), 2):
+            built, composed = theta_classes(cartesian_product(f, h)), theta_module.ProductClasses((fc, hc))
+            assert sorted(composed.side_counts) == sorted(built.side_counts)
+            assert np.array_equal(pair_counts(composed), quadrant_histogram(built))
+
+    def test_histogram_that_does_not_sum_to_the_pair_count_is_refused(self, monkeypatch):
+        counted = theta_module._side_pair_counts
+
+        def short(tc):  # one quadrant of one pair goes missing
+            hist = counted(tc).copy()
+            hist[hist.nonzero()[0][0]] -= 1
+            return hist
+
+        composed = product_classes("grid:4,5")
+        monkeypatch.setattr(theta_module, "_side_pair_counts", short)
+        with pytest.raises(IntegralityError, match="do not sum to 4 C"):
+            pair_counts(composed)
+
+
 def test_float32_grams_refuse_beyond_their_exact_range(monkeypatch):
     # grid 3x3: n = 9 vertices, d = 4 classes, so 2d = 8
     g = grid(3, 3)
