@@ -48,6 +48,7 @@ from .generators import (
     generate,
     grid_sw3,
     grid_sww3,
+    order_size,
     parse_descriptor,
     path_formulas,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "generate",
     "grid_sw3",
     "grid_sww3",
+    "order_size",
     "parse_descriptor",
     "path_formulas",
 ]

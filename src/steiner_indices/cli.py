@@ -44,15 +44,18 @@ def emit(report, fmt, stream=None):
 
 
 def load_graph(args):
-    """Resolve the single input source into (graph, descriptor-or-None, label)."""
+    """Resolve the single input source into (Analysis, label). A descriptor's
+    parameters are checked as its Analysis is made; its graph is built only
+    when read."""
     if bool(args.input) == bool(args.gen):
         raise UsageError("exactly one of --input FILE or --gen SPEC is required")
+    force = getattr(args, "force", False)  # classify has no --force
     if args.gen:
         desc = generators.parse_descriptor(args.gen)
-        return generators.generate(desc), desc, str(desc)
+        return Analysis(None, desc, force), str(desc)
     with open(args.input, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
-    return graph.parse_edge_list(text), None, os.path.basename(args.input)
+    return Analysis(graph.parse_edge_list(text), None, force), os.path.basename(args.input)
 
 
 class UsageError(ValueError):
@@ -60,22 +63,31 @@ class UsageError(ValueError):
 
 
 class Analysis:
-    """Lazily computed per-graph artifacts shared by the subcommands."""
+    """Lazily computed per-graph artifacts shared by the subcommands. With
+    ``g`` None the graph of ``desc`` is generated when first read; ``n`` and
+    ``m`` come from the descriptor either way (``generators.order_size``,
+    which refuses parameters that have no graph)."""
 
     def __init__(self, g, desc, force=False):
-        self.g = g
+        if g is not None:
+            self.g = g
         self.desc = desc
         self.force = force  # build the distance matrix at any n
+        self.n, self.m = generators.order_size(desc) if desc is not None else (g.n, g.size)
+
+    @cached_property
+    def g(self):  # a descriptor's graph, built for the first reader of its edges
+        return generators.generate(self.desc)
 
     @property
     def over_limit(self):  # the distance matrix is refused at this n
-        return self.g.n > CLASSIFY_LIMIT and not self.force
+        return self.n > CLASSIFY_LIMIT and not self.force
 
     @cached_property
     def d(self):
         if self.over_limit:
             raise PreconditionError(
-                f"graph too large for the all-pairs distance matrix (n={self.g.n} > {CLASSIFY_LIMIT}); "
+                f"graph too large for the all-pairs distance matrix (n={self.n} > {CLASSIFY_LIMIT}); "
                 "--force lifts the limit in compute and bench"
             )
         return graph.all_pairs_distances(self.g)
@@ -100,7 +112,8 @@ class Analysis:
             known = generators.family_classification(self.desc)
             if known is not None:
                 return known
-            return theta.median_classification(self.g, self.d, cut=lambda: self.cut)
+            d = self.d  # refused above the limit before the graph is built
+            return theta.median_classification(self.g, d, cut=lambda: self.cut)
         cert = self.certificate
         if cert.classes is not None:
             return theta.MEDIAN  # certified without the distance matrix
@@ -126,9 +139,9 @@ class Analysis:
             if built.get("cut") is not None:
                 return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, *self.cut)
             return theta.theta_classes(self.g, built.get("d"), method="crossing")
-        if self.g.size > PAIRWISE_EDGE_LIMIT:
+        if self.m > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
-                f"graph too large for the pairwise Theta scan (|E|={self.g.size})"
+                f"graph too large for the pairwise Theta scan (|E|={self.m})"
             )
         # no partial cube, so the cut pass refuses: the Theta scan alone
         return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, theta._theta_classes_pairwise(self.g, self.d), None)
@@ -160,7 +173,7 @@ def _cut(an, index, k, guard):
         raise PreconditionError("method cut does not apply to index hosoya")
     k_cut = 2 if index in ("w", "ww") else k  # W and WW are SW_2 and SWW_2
     cls = an.classification
-    cutmethod.check_exact(an.g.n, an.g.size, k_cut, cls)
+    cutmethod.check_exact(an.n, an.m, k_cut, cls)
     if index in ("w", "sw"):  # SW_k needs no quadrant histogram
         return cutmethod.cut_report(an.theta, None, k_cut, cls)[0]
     return cutmethod.cut_report(an.theta, an.pairs, k_cut, cls)[1]
@@ -183,7 +196,7 @@ def _brute(an, index, k, guard):
         return an.moments.wiener
     if index == "ww":
         return graph.hyper_wiener(an.moments)
-    steiner.check_k(an.g.n, k, guard)  # before an.d: a refusal needs no distances
+    steiner.check_k(an.n, k, guard)  # before an.d: a refusal needs no graph or distances
     if index == "hosoya":
         return steiner.steiner_hosoya(an.g, an.d, k, guard)
     sw, sww = steiner.steiner_k_indices_brute(an.g, an.d, k, guard=guard)
@@ -216,12 +229,11 @@ def _value_str(index, value):
 
 
 def run_compute(args):
-    g, desc, label = load_graph(args)
+    an, label = load_graph(args)
     if not 1 <= args.k <= steiner.K_MAX:
         raise UsageError(f"--k must be in 1..{steiner.K_MAX}")
-    an = Analysis(g, desc, args.force)
     guard = None if args.force else BRUTE_GUARD
-    report = {"graph": label, "n": g.n, "edges": g.size}
+    report = {"graph": label, "n": an.n, "edges": an.m}
 
     start = time.perf_counter()
     value, tag = _compute_value(an, args.index, args.k, args.method, guard)
@@ -250,14 +262,13 @@ def run_compute(args):
 
 
 def run_classify(args):
-    g, desc, label = load_graph(args)
-    an = Analysis(g, desc)
+    an, label = load_graph(args)
     classes = an.theta.class_count  # refuses what the pairwise scan cannot take
     cls = an.classification
     report = {
         "graph": label,
-        "n": g.n,
-        "edges": g.size,
+        "n": an.n,
+        "edges": an.m,
         "connected": cls.connected,
         "bipartite": cls.bipartite,
         "partial_cube": cls.partial_cube,
@@ -271,10 +282,9 @@ def run_classify(args):
 
 
 def run_bench(args):
-    g, desc, label = load_graph(args)
-    an = Analysis(g, desc, args.force)
+    an, label = load_graph(args)
     an.classification  # classified before the cut is timed
-    report = {"graph": label, "n": g.n, "edges": g.size}
+    report = {"graph": label, "n": an.n, "edges": an.m}
 
     start = time.perf_counter()
     cut_value = _METHODS["cut"](an, "sww", 3, None)
@@ -283,7 +293,7 @@ def run_bench(args):
     report["sww3_cut"] = cut_value
     report["cut_s"] = cut_elapsed
 
-    triples = comb(g.n, 3)
+    triples = comb(an.n, 3)
     guard = args.max_brute
     if triples > guard and not args.force:
         report["brute"] = f"skipped: guard ({triples} triples > {guard})"

@@ -10,7 +10,10 @@ separating classes), k = 3 on a modular partial cube (a triple has a median),
 and every k on a tree (each edge is a class).
 """
 
-from math import comb
+from math import comb, factorial
+from operator import mul
+
+import numpy as np
 
 from .errors import DeferredPreconditionError, PreconditionError, not_modular_error
 from .steiner import check_k
@@ -38,6 +41,24 @@ def check_exact(n, m, k, classification):
     )
 
 
+_NUMPY_COMBS = 128  # values from which numpy forms C(v, k) faster than math.comb
+
+
+def _combs(values, k):
+    """[C(v, k) for v in values] as Python ints, for a nonnegative int
+    array. From ``_NUMPY_COMBS`` values on they are formed in int64: the
+    falling factorial v (v-1) ... (v-k+1), at most v^k, is exact, and so is
+    its quotient by k!, while the largest v has v^k < 2^63 (v < 2^21 at
+    k = 3). Fewer values, or a larger one, take ``math.comb``."""
+    if values.size < _NUMPY_COMBS or int(values.max()) ** k >= 1 << 63:
+        return [comb(v, k) for v in values.tolist()]
+    c = values.astype(np.int64)
+    for j in range(1, k):
+        c *= values - j
+    c //= factorial(k)
+    return c.tolist()
+
+
 def cut_report(tc, pc, k, classification):
     """(SW_k, SWW_k) from the class sides of ``tc`` and the quadrant-size
     histogram ``pc`` of ``theta.pair_counts``, in Python ints. SW_k needs no
@@ -53,12 +74,13 @@ def cut_report(tc, pc, k, classification):
     check_exact(n, tc.m, k, classification)
     d = tc.class_count
     total = comb(n, k)
-    unsplit = sum(comb(a, k) + comb(b, k) for a, b in tc.side_counts)
+    s1 = tc.side_sizes.astype(np.int64)
+    unsplit = sum(_combs(np.concatenate((n - s1, s1)), k))
     sw = d * total - unsplit
     if pc is None:
         return sw, None
     (bins,) = pc.nonzero()
-    in_quadrant = sum(count * comb(v, k) for v, count in zip(bins.tolist(), pc[bins].tolist()))
+    in_quadrant = sum(map(mul, pc[bins].tolist(), _combs(bins, k)))
     return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + in_quadrant
 
 

@@ -62,48 +62,55 @@ def _prufer_decode(seq, n):
     return edges
 
 
-def generate(desc):
-    """Build the graph described by a GeneratorDescriptor."""
+_SMALLEST = {"path": 1, "cycle": 3, "complete": 1, "tree": 1}  # least n of the kinds whose last parameter is n
+
+
+def order_size(desc):
+    """(n, m) of the graph ``generate(desc)`` builds, from the parameters
+    alone; raises PreconditionError on parameters that have no such graph."""
     kind, params = desc.kind, desc.params
-    if kind == "path":
-        (n,) = params
-        if n < 1:
-            raise PreconditionError("path needs n >= 1")
-        return Graph.from_edges(n, np.c_[np.arange(n - 1), np.arange(1, n)])
-    if kind == "cycle":
-        (n,) = params
-        if n < 3:
-            raise PreconditionError("cycle needs n >= 3")
-        return Graph.from_edges(n, np.c_[np.arange(n), (np.arange(n) + 1) % n])
-    if kind == "complete":
-        (n,) = params
-        if n < 1:
-            raise PreconditionError("complete needs n >= 1")
-        return Graph.from_edges(n, np.transpose(np.triu_indices(n, 1)))
     if kind == "hypercube":
         (k,) = params
         if not 0 <= k <= 16:
             raise PreconditionError("hypercube needs 0 <= k <= 16")
-        v, b = np.nonzero((np.arange(1 << k)[:, None] >> np.arange(k)) % 2 == 0)  # bit b of v is clear
-        return Graph.from_edges(1 << k, np.c_[v, v | (1 << b)])
+        return 1 << k, k * (1 << k) // 2
     if kind == "grid":
         m, n = params
         if m < 1 or n < 1:
             raise PreconditionError("grid needs m, n >= 1")
-        ids = np.arange(m * n).reshape(m, n)
+        return m * n, m * (n - 1) + (m - 1) * n
+    if kind not in _SMALLEST:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    n = params[-1]  # tree:seed,n
+    if n < _SMALLEST[kind]:
+        raise PreconditionError(f"{kind} needs n >= {_SMALLEST[kind]}")
+    return n, {"path": n - 1, "tree": n - 1, "cycle": n, "complete": n * (n - 1) // 2}[kind]
+
+
+def generate(desc):
+    """Build the graph described by a GeneratorDescriptor."""
+    kind, params = desc.kind, desc.params
+    n, _ = order_size(desc)  # refuses what has no graph
+    if kind == "path":
+        return Graph.from_edges(n, np.c_[np.arange(n - 1), np.arange(1, n)])
+    if kind == "cycle":
+        return Graph.from_edges(n, np.c_[np.arange(n), (np.arange(n) + 1) % n])
+    if kind == "complete":
+        return Graph.from_edges(n, np.transpose(np.triu_indices(n, 1)))
+    if kind == "hypercube":
+        (k,) = params
+        v, b = np.nonzero((np.arange(n)[:, None] >> np.arange(k)) % 2 == 0)  # bit b of v is clear
+        return Graph.from_edges(n, np.c_[v, v | (1 << b)])
+    if kind == "grid":
+        ids = np.arange(n).reshape(params)
         u = np.r_[ids[:, :-1].ravel(), ids[:-1].ravel()]
         v = np.r_[ids[:, 1:].ravel(), ids[1:].ravel()]
-        return Graph.from_edges(m * n, np.c_[u, v])
-    if kind == "tree":
-        seed, n = params
-        if n < 1:
-            raise PreconditionError("tree needs n >= 1")
-        if n == 1:
-            return Graph.from_edges(1, [])
-        rng = random.Random(seed)
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        return Graph.from_edges(n, _prufer_decode(seq, n))
-    raise ValueError(f"unknown generator kind {kind!r}")
+        return Graph.from_edges(n, np.c_[u, v])
+    if n == 1:  # tree
+        return Graph.from_edges(1, [])
+    rng = random.Random(params[0])
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return Graph.from_edges(n, _prufer_decode(seq, n))
 
 
 def cartesian_factors(desc):

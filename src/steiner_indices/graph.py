@@ -203,23 +203,32 @@ class DistanceMoments:
     sum_cross: int
 
 
+_MOMENT_BLOCK = 1 << 18  # distances widened to int64 per step of distance_moments
+
+
 def distance_moments(dm):
     """Compute the pair and triple distance moments exactly.
 
     sum_cross uses the per-vertex identity
     sum_u [(sum_{v != u} d(u,v))^2 - sum_{v != u} d(u,v)^2], which equals the
-    naive triple loop but costs O(n^2).
+    naive triple loop but costs O(n^2). The row sums are taken one block of
+    rows at a time, so no n x n int64 copy is formed.
     """
     n = dm.n
     if n < 2:
         return DistanceMoments(0, 0, 0)
-    a = dm.a.astype(np.int64)
-    wiener = int(a.sum()) // 2
-    sum_sq = int((a * a).sum()) // 2
+    rows = max(1, _MOMENT_BLOCK // n)
+    sums, squares = [], []
+    for lo in range(0, n, rows):
+        b = dm.a[lo : lo + rows].astype(np.int64)
+        sums.append(b.sum(axis=1))
+        b *= b
+        squares.append(b.sum(axis=1))
+    row_sums, row_sq = np.concatenate(sums), np.concatenate(squares)
+    wiener = int(row_sums.sum()) // 2
+    sum_sq = int(row_sq.sum()) // 2
     if n < 3:
         return DistanceMoments(wiener, sum_sq, 0)
-    row_sums = a.sum(axis=1)
-    row_sq = (a * a).sum(axis=1)
     sum_cross = int((row_sums * row_sums - row_sq).sum())
     return DistanceMoments(wiener, sum_sq, sum_cross)
 

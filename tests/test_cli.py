@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -634,6 +635,87 @@ class TestMedianInputWithoutDistances:
         code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
         assert code == 0, err
         assert f"sww3 = {grid_sww3(20, 20)}\nmethod = cut\n" in out
+
+
+def _builds_at_most_1000_vertices(monkeypatch):
+    """Make ``generators.generate`` fail on any graph of over 1000 vertices."""
+    from steiner_indices import generators
+
+    def small_only(desc, real=generators.generate):
+        n, _ = generators.order_size(desc)
+        if n > 1000:
+            raise AssertionError(f"{desc} ({n} vertices) was built")
+        return real(desc)
+
+    monkeypatch.setattr(generators, "generate", small_only)
+
+
+def hypercube_sw3_sww3(k):
+    """(SW_3, SWW_3) of Q_k from its k classes, each of two halves, and the
+    four quadrants of N / 4 vertices of each class pair (N = 2^k)."""
+    n = 1 << k
+    total, unsplit = comb(n, 3), 2 * k * comb(n // 2, 3)
+    sw = k * total - unsplit
+    return sw, sw + comb(k, 2) * total - (k - 1) * unsplit + 4 * comb(k, 2) * comb(n // 4, 3)
+
+
+class TestDescriptorGraphIsBuiltOnlyWhenRead:
+    def test_hypercube_closed_form_equals_brute_force(self, capsys):
+        for k in range(2, 5):
+            sw, sww = hypercube_sw3_sww3(k)
+            for index, value in (("sw", sw), ("sww", sww)):
+                code, out, err = run(capsys, "compute", "--gen", f"hypercube:{k}", "--index", index, "--method", "brute")
+                assert code == 0, err
+                assert f"{index}3 = {value}\n" in out
+
+    @pytest.mark.parametrize("spec,n,m,value,methods", [
+        ("grid:1000,1000", 10**6, 1998000, grid_sww3(1000, 1000), {"cut": "cut", "formula": "formula", "auto": "formula"}),
+        ("hypercube:16", 65536, 524288, hypercube_sw3_sww3(16)[1], {"cut": "cut", "auto": "cut"}),
+    ], ids=["grid", "hypercube"])
+    def test_product_values_from_the_descriptor(self, capsys, monkeypatch, spec, n, m, value, methods):
+        _builds_at_most_1000_vertices(monkeypatch)
+        for method, tag in methods.items():
+            code, out, err = _untimed(run(capsys, "compute", "--gen", spec, "--index", "sww", "--method", method))
+            assert (code, out, err) == (0, [f"n = {n}", f"edges = {m}", f"sww3 = {value}", f"method = {tag}"], "")
+        if "formula" not in methods:
+            code, out, err = run(capsys, "compute", "--gen", spec, "--index", "sww", "--method", "formula")
+            assert (code, out) == (2, "")
+            assert err == "error = no closed formula applies to this input for index sww, k=3\n"
+
+    @pytest.mark.parametrize("spec,n,m,classes", [("grid:1000,1000", 10**6, 1998000, 1998), ("hypercube:16", 65536, 524288, 16)])
+    def test_classify_and_brute_refusal_from_the_descriptor(self, capsys, monkeypatch, spec, n, m, classes):
+        _builds_at_most_1000_vertices(monkeypatch)
+        code, out, err = run(capsys, "classify", "--gen", spec)
+        assert (code, err) == (0, "")
+        assert out == (
+            f"graph = {spec}\nn = {n}\nedges = {m}\nconnected = true\nbipartite = true\n"
+            f"partial_cube = true\nmedian_status = median\nclasses = {classes}\n"
+        )
+        code, out, err = run(capsys, "compute", "--gen", spec, "--index", "sww", "--method", "brute")
+        assert (code, out) == (2, "")
+        assert err == f"error = C({n},3) = {comb(n, 3)} subsets exceeds the enumeration guard 5000000; --force lifts it\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--gen", "complete:4000", "--index", "w"],
+        ["compute", "--gen", "cycle:40000", "--index", "sww", "--method", "modular"],
+        ["classify", "--gen", "complete:4000"],
+    ])
+    def test_distance_matrix_refusal_builds_no_graph(self, capsys, monkeypatch, argv):
+        _builds_at_most_1000_vertices(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        n = int(argv[2].split(":")[1])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error = graph too large for the all-pairs distance matrix (n={n} > 3000); ")
+
+    @pytest.mark.parametrize("spec,text", [
+        ("grid:0,5", "grid needs m, n >= 1"),
+        ("hypercube:17", "hypercube needs 0 <= k <= 16"),
+        ("path:0", "path needs n >= 1"),
+    ])
+    def test_bad_parameters_are_refused_before_the_k_check(self, capsys, spec, text):
+        for argv in (["compute", "--index", "sww", "--k", "99"], ["classify"], ["bench"]):
+            code, out, err = run(capsys, *argv, "--gen", spec)
+            assert (code, out, err) == (2, "", f"error = {text}\n"), argv
 
 
 class TestClassify:

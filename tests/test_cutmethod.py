@@ -1,6 +1,10 @@
 """Cut (Theta-class) evaluation of SW_k and SWW_k against brute force and the
 paper's per-pair formulas."""
 
+from math import comb
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from helpers import (
@@ -35,6 +39,7 @@ from steiner_indices import (
     sww3_cut,
     theta_classes,
 )
+from steiner_indices.theta import MEDIAN
 
 
 def cut_setup(g):
@@ -289,3 +294,49 @@ def test_product_cut_equals_the_grid_formulas():
             assert sw == grid_sw3(m, n), (m, n)
             if (m, n) != (2, 2):  # the formula refuses 2 x 2
                 assert sww == grid_sww3(m, n), (m, n)
+
+
+def _int64_bound(k):
+    """The largest v with v^k < 2^63: past it ``_combs`` leaves int64."""
+    v = round(2 ** (63 / k))
+    while v**k >= 1 << 63:
+        v -= 1
+    while (v + 1) ** k < 1 << 63:
+        v += 1
+    return v
+
+
+class TestExactSums:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_combs_are_exact_at_and_past_the_int64_bound(self, k, monkeypatch):
+        b = _int64_bound(k)
+        for values in (list(range(k + 3)), [0, b - 1, b], [3, b, b + 1, 2 * b]):
+            values = [v for v in values if v < 1 << 63] * cutmethod._NUMPY_COMBS  # in int64, enough for numpy
+            if max(values) <= b:  # up to the bound the binomials are formed in int64
+                monkeypatch.setattr(cutmethod, "comb", None)
+            got = cutmethod._combs(np.array(values, dtype=np.int64), k)
+            monkeypatch.undo()
+            assert got == [comb(v, k) for v in values], (k, values)
+            assert all(type(c) is int for c in got)
+        assert cutmethod._combs(np.zeros(0, dtype=np.int64), k) == []
+
+    @pytest.mark.parametrize("numpy_from", [0, cutmethod._NUMPY_COMBS])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_cut_report_equals_the_per_bin_sums(self, k, numpy_from, monkeypatch):
+        monkeypatch.setattr(cutmethod, "_NUMPY_COMBS", numpy_from)
+        # a tree-shaped class structure (m = n - 1 admits every k) whose sides
+        # and quadrant sizes reach the int64 bound and pass it where an
+        # array of that length is small enough to build
+        b = min(_int64_bound(k), 1 << 21)
+        n = b + 3
+        side_sizes = np.array([1, 2, n // 2, n - b, n - b - 1], dtype=np.int64)
+        pc = np.zeros(b + 2, dtype=np.int64)
+        pc[[0, 1, k, b // 3, b - 1, b, b + 1]] = [5, 4, 3, 2, 1, 7, 9]
+        tc = SimpleNamespace(n=n, m=n - 1, class_count=side_sizes.size, side_sizes=side_sizes)
+        d, total = tc.class_count, comb(n, k)
+        unsplit = sum(comb(n - s, k) + comb(s, k) for s in side_sizes.tolist())
+        (bins,) = pc.nonzero()
+        in_quadrant = sum(count * comb(v, k) for v, count in zip(bins.tolist(), pc[bins].tolist()))
+        sw = d * total - unsplit
+        assert cut_report(tc, pc, k, MEDIAN) == (sw, sw + comb(d, 2) * total - (d - 1) * unsplit + in_quadrant)
+        assert cut_report(tc, None, k, MEDIAN) == (sw, None)

@@ -14,6 +14,7 @@ from steiner_indices import (
     generate,
     grid_sw3,
     grid_sww3,
+    order_size,
     parse_descriptor,
     path_formulas,
     steiner_hosoya,
@@ -94,6 +95,33 @@ class TestGenerate:
             generate(GeneratorDescriptor("grid", (0, 3)))
         with pytest.raises(PreconditionError):
             generate(GeneratorDescriptor("hypercube", (20,)))
+
+
+class TestOrderSize:
+    def test_equals_the_generated_graph(self):
+        specs = (
+            [f"{kind}:{n}" for kind in ("path", "complete") for n in range(1, 13)]
+            + [f"cycle:{n}" for n in range(3, 13)]
+            + [f"hypercube:{k}" for k in range(11)]
+            + [f"grid:{m},{n}" for m in range(1, 9) for n in range(1, 9)]
+            + [f"tree:{seed},{n}" for seed in range(3) for n in range(1, 13)]
+        )
+        for spec in specs:
+            desc = parse_descriptor(spec)
+            g = generate(desc)
+            assert order_size(desc) == (g.n, g.size), spec
+
+    @pytest.mark.parametrize("spec", [
+        "path:0", "path:-3", "cycle:2", "complete:0", "hypercube:-1", "hypercube:17",
+        "grid:0,5", "grid:5,0", "grid:-1,-1", "tree:3,0",
+    ])
+    def test_refuses_with_the_generator_text(self, spec):
+        desc = parse_descriptor(spec)
+        with pytest.raises(PreconditionError) as lazy:
+            order_size(desc)
+        with pytest.raises(PreconditionError) as built:
+            generate(desc)
+        assert str(lazy.value) == str(built.value)
 
 
 class TestFamilyClassification:

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from helpers import (
 from steiner_indices import graph as graph_module
 from steiner_indices import (
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     GraphFormatError,
     all_pairs_distances,
@@ -260,6 +262,33 @@ class TestDistanceMoments:
         for g in small_corpus(count=8):
             m = distance_moments(all_pairs_distances(g))
             assert 0 <= m.wiener <= m.sum_sq
+
+    @pytest.mark.parametrize("block", [1, 130, 1 << 18])
+    def test_row_blocks_give_the_whole_matrix_sums(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_MOMENT_BLOCK", block)
+        for g in small_corpus(count=12, max_n=8, seed=3) + [grid(7, 9), hypercube(6)]:
+            rows = all_pairs_distances(g).a.tolist()
+            row_sums = [sum(r) for r in rows]
+            row_sq = [sum(x * x for x in r) for r in rows]
+            m = distance_moments(all_pairs_distances(g))
+            assert m.wiener == sum(row_sums) // 2 and m.sum_sq == sum(row_sq) // 2, g.edges
+            if g.n >= 3:
+                assert m.sum_cross == sum(s * s - q for s, q in zip(row_sums, row_sq)), g.edges
+
+    def test_row_blocks_form_no_n_by_n_int64_copy(self):
+        import tracemalloc
+
+        n = 2000
+        r = np.arange(n)
+        d = DistanceMatrix(np.abs(r[:, None] - r))  # the path P_n
+        tracemalloc.start()
+        try:
+            m = distance_moments(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.wiener, m.sum_sq) == (comb(n + 1, 3), n * n * (n * n - 1) // 12)
+        assert peak < 8 * n * n // 4  # a quarter of one int64 copy
 
 
 class TestHyperWiener:
