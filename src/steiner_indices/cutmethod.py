@@ -44,19 +44,36 @@ def check_exact(n, m, k, classification):
 _NUMPY_COMBS = 128  # values from which numpy forms C(v, k) faster than math.comb
 
 
-def _combs(values, k):
-    """[C(v, k) for v in values] as Python ints, for a nonnegative int
-    array. From ``_NUMPY_COMBS`` values on they are formed in int64: the
+def _int64_combs(values, k):
+    """C(v, k) for each v of a nonnegative int array, as int64, or None when
+    the largest v has v^k >= 2^63 (v >= 2^21 at k = 3). Below that the
     falling factorial v (v-1) ... (v-k+1), at most v^k, is exact, and so is
-    its quotient by k!, while the largest v has v^k < 2^63 (v < 2^21 at
-    k = 3). Fewer values, or a larger one, take ``math.comb``."""
-    if values.size < _NUMPY_COMBS or int(values.max()) ** k >= 1 << 63:
-        return [comb(v, k) for v in values.tolist()]
+    its quotient by k!."""
+    if values.size and int(values.max()) ** k >= 1 << 63:
+        return None
     c = values.astype(np.int64)
     for j in range(1, k):
         c *= values - j
     c //= factorial(k)
-    return c.tolist()
+    return c
+
+
+def _combs(values, k):
+    """[C(v, k) for v in values] as Python ints: by ``_int64_combs`` from
+    ``_NUMPY_COMBS`` values on while it is exact, else by ``math.comb``."""
+    c = _int64_combs(values, k) if values.size >= _NUMPY_COMBS else None
+    return [comb(v, k) for v in values.tolist()] if c is None else c.tolist()
+
+
+def _quadrant_sum(pc, k):
+    """sum_v pc[v] C(v, k) as a Python int. It is taken in int64 while
+    sum(pc) times the largest C(v, k) is below 2^63, which bounds every
+    partial sum, and in Python ints above that."""
+    (bins,) = pc.nonzero()
+    counts, c = pc[bins], _int64_combs(bins, k)
+    if c is not None and int(counts.sum()) * int(c.max(initial=0)) < 1 << 63:
+        return int(counts @ c)
+    return sum(map(mul, counts.tolist(), _combs(bins, k)))
 
 
 def cut_report(tc, pc, k, classification):
@@ -79,9 +96,7 @@ def cut_report(tc, pc, k, classification):
     sw = d * total - unsplit
     if pc is None:
         return sw, None
-    (bins,) = pc.nonzero()
-    in_quadrant = sum(map(mul, pc[bins].tolist(), _combs(bins, k)))
-    return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + in_quadrant
+    return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + _quadrant_sum(pc, k)
 
 
 def sww3_cut(tc, pc, n, classification):

@@ -163,7 +163,7 @@ def _theta_classes_pairwise(g, d):
     return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
-_GRAM_BLOCK = 1 << 18  # entries per numpy step of pair_counts, the flip check, the Theta scan and the certificate
+_GRAM_BLOCK = 1 << 18  # entries per numpy step of pair_counts, the Theta scan, the labellings and the certificate
 _GRAM_SMALL = 1 << 22  # d * d * n up to which pair_counts forms the Gram even with a labelling
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
@@ -247,6 +247,71 @@ def _one_bfs_labels(g, dist):
     return edge_class, sides.view(bool), opener[rank], np.array(np.divmod(key[once], max(1, rank.size)))
 
 
+def _tree_labels(g):
+    """The labelling ``_one_bfs_labels`` keeps on a tree, as (edge class,
+    sides, gates, crossings), read from an Euler tour with no BFS; None if
+    G, a graph with m = n - 1, is disconnected.
+
+    Every edge xy of a tree is a bridge, so it is its own Theta class: an
+    edge uv other than xy lies on x's side of T - xy, say, and then
+    d(y, u) = d(x, u) + 1 and d(y, v) = d(x, v) + 1, so the two sums of the
+    Theta test agree. So ``edge_class`` is the edge order, no two classes
+    cross, and side 1 of class xy is the subtree of its child, the end
+    farther from vertex 0, which is the gate of the BFS labelling (its one
+    parent edge opens its coordinate).
+
+    Each CSR slot x -> y is an arc, and the arc after it in the tour is
+    y -> z with z the neighbour after x in y's row, wrapping to the row's
+    start. Started at vertex 0's first slot, the tour of a tree takes every
+    arc once and walks each edge down before it walks it up, and between
+    them it walks exactly the arcs of the child's subtree. Arcs are ranked
+    by pointer jumping (Tarjan and Vishkin 1985): ceil(log2 2m) rounds in
+    which each arc adds the count of the arc it points to and then points
+    twice as far. With ``tin[v]`` the position of the arc into v (-1 at
+    vertex 0), side 1 of the edge into c is the interval of the tour
+    tin[c] <= tin[v] <= tout[c], tout[c] the position of the arc back out.
+
+    G is refused unless the tour takes all 2m arcs (an arc off it lies on a
+    cycle of the successor map, which never reaches the end) and no vertex
+    is isolated. Then every vertex lies in vertex 0's component, and a
+    connected G with m = n - 1 is a tree. Both checks are needed: two
+    triangles at vertex 0 whose rows interleave, and two isolated vertices,
+    have a tour of all 12 arcs.
+    """
+    n, m = g.n, g.size
+    deg = np.diff(g.indptr)
+    if n > 1 and not deg.all():
+        return None
+    row, nbr = np.repeat(np.arange(n), deg), g.nbr
+    rev = np.searchsorted(row * n + nbr, nbr * n + row)  # the slot of y -> x
+    end = 2 * m  # a sentinel arc past the tour's last
+    after = np.append(rev + 1, end)
+    wrap = after[:end] == g.indptr[nbr + 1]
+    after[:end][wrap] = g.indptr[nbr[wrap]]
+    after[after == 0] = end  # the tour starts at slot 0
+    rank = np.ones(end + 1, dtype=np.int64)  # arcs from each arc to the tour's end
+    rank[end] = 0
+    for _ in range(max(end - 1, 0).bit_length()):
+        rank += rank[after]
+        after = after[after]
+    if (after != end).any():
+        return None
+    pos = (end - rank[:end]).astype(np.min_scalar_type(-1 - end))  # the narrowest type compares fastest
+    (fwd,) = np.nonzero(row < nbr)  # the arc eu -> ev of each edge, in edge order
+    out, back = pos[fwd], pos[rev[fwd]]
+    gates = np.where(out < back, g.ev, g.eu)
+    lo, hi = np.minimum(out, back), np.maximum(out, back)
+    tin = np.full(n, -1, dtype=pos.dtype)
+    tin[gates] = lo
+    sides = np.empty((m, n), dtype=bool)
+    rows = max(1, _GRAM_BLOCK // max(1, n))
+    for s in range(0, m, rows):
+        block = sides[s : s + rows]
+        np.greater_equal(tin, lo[s : s + rows, None], out=block)
+        block &= tin <= hi[s : s + rows, None]
+    return np.arange(m), sides, gates, np.zeros((2, 0), dtype=np.int64)
+
+
 def _connected_distances(g, caller):
     try:
         return all_pairs_distances(g)
@@ -295,12 +360,18 @@ def _cut_classes(g, a):
 
 
 def _theta_classes_crossing(g, d):
-    """Theta* of a partial cube as (edge class, sides): one BFS where
-    ``_one_bfs_labels`` keeps its labelling (every median graph), else the
-    cut pass on the distance rows ``d`` (C6, C8), computed here if not
-    given. None when the cut pass refuses; a kept labelling is unchecked.
-    Raises PreconditionError on a disconnected graph.
+    """Theta* of a partial cube as (edge class, sides): the Euler tour of
+    ``_tree_labels`` where m = n - 1, one BFS where ``_one_bfs_labels``
+    keeps its labelling (every other median graph), else the cut pass on
+    the distance rows ``d`` (C6, C8), computed here if not given. None when
+    the cut pass refuses; a kept labelling is unchecked. Raises
+    PreconditionError on a disconnected graph.
     """
+    if g.size == g.n - 1:
+        labelled = _tree_labels(g)
+        if labelled is None:
+            raise PreconditionError("theta_classes requires a connected graph")
+        return labelled
     dist = (bfs_distances(g, 0) if d is None else d.row(0)) if g.n else np.zeros(0, dtype=np.int32)
     if (dist < 0).any():
         raise PreconditionError("theta_classes requires a connected graph")
@@ -323,11 +394,11 @@ def theta_classes(g, d=None, method="pairwise"):
     tile E and make G bipartite, and G is a partial cube.
 
     method="crossing" is for graphs known to be partial cubes, median or
-    verified by ``median_classification``: one BFS labels a median graph
-    (row 0 of ``d`` when given), the cut pass the others. On any other
-    graph it raises PreconditionError, or returns a one-BFS labelling
-    unchecked, which has ``gates`` and need not be Theta* (K_{3,2} gets two
-    classes for one).
+    verified by ``median_classification``: an Euler tour labels a tree, one
+    BFS any other median graph (row 0 of ``d`` when given), and the cut pass
+    the others. On any other graph it raises PreconditionError, or returns
+    a one-BFS labelling unchecked, which has ``gates`` and need not be
+    Theta* (K_{3,2} gets two classes for one).
     """
     if method == "crossing":
         result = _theta_classes_crossing(g, d)
@@ -784,12 +855,14 @@ def median_certificate(g, max_bytes=None):
     (``_WEDGE_BYTES`` a wedge, ``_SIDE_BYTES`` a class-vertex entry) is not
     certified, and neither is allocated.
 
-    G must be connected: one BFS from vertex 0 reaches every vertex. A tree
-    (m = n - 1) is median, and its kept labelling is its Theta labelling.
-    Any other G is turned away when the BFS levels show it not bipartite,
-    and by the wedge pass (``_turned_away``), which runs before the BFS
-    only where it takes no more memory than the n x n int32 matrix of the
-    fallback, so a dense graph that is not bipartite builds no wedges. It
+    G must be connected. A tree (m = n - 1) is median: ``_tree_labels``
+    labels it from its Euler tour, which also shows it connected, and with
+    ``max_bytes`` its budget is its (n - 1) x n side matrix. Any other G
+    must have one BFS from vertex 0 reach every vertex. It is turned away
+    when the BFS levels show it not bipartite, and by the wedge pass
+    (``_turned_away``), which runs before the BFS only where it takes no
+    more memory than the n x n int32 matrix of the fallback, so a dense
+    graph that is not bipartite builds no wedges. It
     turns G away when a pair has three common neighbours (an induced
     K_{2,3}), or when m - n + 1 exceeds its number of squares, each square
     counted at its two pairs with two common neighbours: a median graph is
@@ -828,9 +901,15 @@ def median_certificate(g, max_bytes=None):
     halfspaces holding it (Mulder 1978).
     """
     n, m = g.n, g.size
-    tree = m == n - 1
+    if m == n - 1:
+        if max_bytes is not None and _SIDE_BYTES * m * n > max_bytes:
+            return MedianCertificate(None)
+        labelled = _tree_labels(g)
+        if labelled is None:
+            return MedianCertificate(None)
+        return MedianCertificate(ThetaClasses(n, g.eu, g.ev, *labelled), True)
     deg = np.diff(g.indptr)
-    wedge_bytes = 0 if tree else _WEDGE_BYTES * int((deg * (deg - 1) // 2).sum())
+    wedge_bytes = _WEDGE_BYTES * int((deg * (deg - 1) // 2).sum())
     if max_bytes is not None and wedge_bytes > max_bytes:
         return MedianCertificate(None)
     # the wedge pass turns most graphs away at once, and goes first where it
@@ -842,9 +921,9 @@ def median_certificate(g, max_bytes=None):
     dist = bfs_distances(g, 0) if n else np.zeros(0, dtype=np.int32)
     if (dist < 0).any():
         return MedianCertificate(None, None, pairs)
-    if not (tree or is_bipartite(g, dist)[0]):
+    if not is_bipartite(g, dist)[0]:
         return MedianCertificate(None, False, pairs)
-    if not tree and pairs is None:
+    if pairs is None:
         pairs = _common_neighbour_pairs(g)
         if _turned_away(n, m, pairs):
             return MedianCertificate(None, True, pairs)
@@ -857,7 +936,7 @@ def median_certificate(g, max_bytes=None):
     if labelled is None:
         return MedianCertificate(None, True, pairs)
     edge_class, sides = labelled[:2]
-    if not tree and not (_isometric(g, edge_class, sides) and _boundaries_are_hulls(g, pairs, edge_class, sides)):
+    if not (_isometric(g, edge_class, sides) and _boundaries_are_hulls(g, pairs, edge_class, sides)):
         return MedianCertificate(None, True, pairs)
     return MedianCertificate(ThetaClasses(n, g.eu, g.ev, *labelled), True, pairs)
 

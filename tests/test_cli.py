@@ -550,7 +550,7 @@ class TestRefusalsBeforeDistances:
 
     @pytest.mark.parametrize(
         "g,refused",
-        [(grid(3, 3), "_common_neighbour_pairs"), (tree(3, 12), "_one_bfs_labels")],
+        [(grid(3, 3), ("_common_neighbour_pairs",)), (tree(3, 12), ("_one_bfs_labels", "_tree_labels"))],
         ids=["grid-wedges", "tree-sides"],
     )
     def test_certificate_above_the_limit_keeps_to_the_matrix_budget(self, capsys, monkeypatch, tmp_path, g, refused):
@@ -564,7 +564,8 @@ class TestRefusalsBeforeDistances:
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
         f = tmp_path / "g.txt"
         f.write_text(edge_list_text(g))
-        monkeypatch.setattr(theta, refused, refuse)
+        for name in refused:
+            monkeypatch.setattr(theta, name, refuse)
         message = f"error = graph too large for the all-pairs distance matrix (n={g.n} > 8); --force lifts the limit in compute and bench\n"
         for argv in (["compute", "--index", "sww"], ["classify"]):
             assert run(capsys, *argv, "--input", str(f)) == (2, "", message)
@@ -802,6 +803,18 @@ class TestErrors:
         f.write_text("4 2\n0 1\n2 3\n")
         code, _, _ = run(capsys, "compute", "--input", str(f), "--index", "w")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text,far", [("4 3\n0 1\n1 2\n0 2\n", 3), ("5 4\n0 1\n1 2\n2 3\n0 3\n", 4)], ids=["triangle", "c4"]
+    )
+    def test_disconnected_file_with_n_minus_one_edges(self, capsys, tmp_path, text, far):
+        # m = n - 1 but not a tree: the certificate refuses it, and the
+        # distance matrix names the first unreachable vertex
+        f = tmp_path / "disc.txt"
+        f.write_text(text)
+        message = f"error = graph is disconnected: no path between vertices 0 and {far}\n"
+        for argv in (["compute", "--index", "sww"], ["compute", "--index", "sww", "--method", "cut"], ["classify"], ["bench"]):
+            assert run(capsys, *argv, "--input", str(f)) == (1, "", message)
 
     def test_bad_descriptor(self, capsys):
         code, _, _ = run(capsys, "compute", "--gen", "blob:4", "--index", "w")

@@ -2,6 +2,7 @@
 paper's per-pair formulas."""
 
 from math import comb
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -319,6 +320,26 @@ class TestExactSums:
             assert got == [comb(v, k) for v in values], (k, values)
             assert all(type(c) is int for c in got)
         assert cutmethod._combs(np.zeros(0, dtype=np.int64), k) == []
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_quadrant_sum_is_exact_at_and_past_the_int64_bound(self, k, monkeypatch):
+        # sum(pc) C(v, k) for the top bin v is the largest below 2^63, then
+        # past it, where one bin's product alone leaves int64
+        v = min(_int64_bound(k), 5000)  # C(v, k) itself is formed in int64
+        at = ((1 << 63) - 1) // comb(v, k)
+        for total in (at, at + 1):
+            for bins in ([v], [0, k, v]):
+                pc = np.zeros(v + 1, dtype=np.int64)
+                pc[bins] = 1
+                pc[v] = total - len(bins) + 1
+                if total == at:
+                    monkeypatch.setattr(cutmethod, "mul", None)  # at the bound the dot stays in int64
+                got = cutmethod._quadrant_sum(pc, k)
+                monkeypatch.undo()
+                (nz,) = pc.nonzero()
+                assert got == sum(map(mul, pc[nz].tolist(), [comb(x, k) for x in nz.tolist()])), (k, total, bins)
+                assert type(got) is int
+        assert cutmethod._quadrant_sum(np.zeros(v + 1, dtype=np.int64), k) == 0
 
     @pytest.mark.parametrize("numpy_from", [0, cutmethod._NUMPY_COMBS])
     @pytest.mark.parametrize("k", range(1, 7))

@@ -247,7 +247,7 @@ class TestOneBfsLabels:
         monkeypatch.setattr(theta_module, "all_pairs_distances", refuse)
         monkeypatch.setattr(theta_module, "bfs_distances", counted_bfs)
         tc = theta_classes(g, method="crossing")
-        assert bfs_sources == [0]
+        assert bfs_sources == ([] if g.size == g.n - 1 else [0])  # a tree is labelled by its Euler tour
         assert tc.classes == expected.classes
         assert np.array_equal(tc.sides, expected.sides)
 
@@ -304,6 +304,59 @@ class TestOneBfsLabels:
             tc = theta_classes(Graph.from_edges(0, []), method=method)
             assert tc.classes == ()
             assert tc.sides.shape == (0, 0)
+
+
+def random_tree(rng, n):
+    """A tree on n vertices: each vertex joins an earlier one, labels shuffled."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)])
+
+
+# disconnected graphs with m = n - 1: a triangle and an isolated vertex (last
+# or vertex 0), C4 and one, and two triangles at vertex 0 and two isolated
+# vertices, whose rows interleave so that its Euler tour takes all 2m arcs
+DISCONNECTED_N_MINUS_ONE = {
+    "triangle": (4, [(0, 1), (1, 2), (0, 2)]),
+    "triangle-isolated-0": (4, [(1, 2), (2, 3), (1, 3)]),
+    "c4": (5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "figure-eight": (7, [(0, 1), (1, 3), (0, 3), (0, 2), (2, 4), (0, 4)]),
+}
+
+
+class TestTreeLabels:
+    def test_equals_the_one_bfs_labels(self):
+        rng = random.Random(26)
+        graphs = [random_tree(rng, n) for n in range(1, 301)]
+        graphs += [star(leaves) for leaves in range(40)]
+        graphs += [path(m + 1) for m in (64, 65, 129)]  # the word boundaries of the packed labels
+        graphs.append(tree(7, 3000))
+        for g in graphs:
+            got, expected = theta_module._tree_labels(g), one_bfs_labels(g)
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape, g.edges
+                assert np.array_equal(a, b), g.edges
+            assert got[1].flags.c_contiguous
+
+    def test_memory_is_near_the_side_matrix(self):
+        # the (d, n) bool side matrix is 2999 x 3000 bytes, 9 MB; it is
+        # filled in blocks of rows, so no temporary comes near its size
+        g = tree(7, 3000)
+        tracemalloc.start()
+        try:
+            theta_module._tree_labels(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * g.size * g.n
+
+    @pytest.mark.parametrize("name", DISCONNECTED_N_MINUS_ONE)
+    def test_disconnected_graphs_are_refused(self, name):
+        g = Graph.from_edges(*DISCONNECTED_N_MINUS_ONE[name])
+        assert theta_module._tree_labels(g) is None
+        with pytest.raises(PreconditionError, match="^theta_classes requires a connected graph$"):
+            theta_classes(g, method="crossing")
+        assert theta_module.median_certificate(g) == theta_module.MedianCertificate(None)
 
 
 class TestSidePartition:
