@@ -11,11 +11,10 @@ and every k on a tree (each edge is a class).
 """
 
 from math import comb, factorial
-from operator import mul
 
 import numpy as np
 
-from .errors import DeferredPreconditionError, PreconditionError, not_modular_error
+from .errors import DeferredPreconditionError, PreconditionError, exact_dot, not_modular_error
 from .steiner import check_k
 
 NOT_PARTIAL_CUBE = "graph is not a verified partial cube"
@@ -41,39 +40,20 @@ def check_exact(n, m, k, classification):
     )
 
 
-_NUMPY_COMBS = 128  # values from which numpy forms C(v, k) faster than math.comb
-
-
-def _int64_combs(values, k):
-    """C(v, k) for each v of a nonnegative int array, as int64, or None when
-    the largest v has v^k >= 2^63 (v >= 2^21 at k = 3). Below that the
-    falling factorial v (v-1) ... (v-k+1), at most v^k, is exact, and so is
-    its quotient by k!."""
-    if values.size and int(values.max()) ** k >= 1 << 63:
-        return None
-    c = values.astype(np.int64)
-    for j in range(1, k):
-        c *= values - j
-    c //= factorial(k)
-    return c
-
-
-def _combs(values, k):
-    """[C(v, k) for v in values] as Python ints: by ``_int64_combs`` from
-    ``_NUMPY_COMBS`` values on while it is exact, else by ``math.comb``."""
-    c = _int64_combs(values, k) if values.size >= _NUMPY_COMBS else None
-    return [comb(v, k) for v in values.tolist()] if c is None else c.tolist()
-
-
-def _quadrant_sum(pc, k):
-    """sum_v pc[v] C(v, k) as a Python int. It is taken in int64 while
-    sum(pc) times the largest C(v, k) is below 2^63, which bounds every
-    partial sum, and in Python ints above that."""
-    (bins,) = pc.nonzero()
-    counts, c = pc[bins], _int64_combs(bins, k)
-    if c is not None and int(counts.sum()) * int(c.max(initial=0)) < 1 << 63:
-        return int(counts @ c)
-    return sum(map(mul, counts.tolist(), _combs(bins, k)))
+def _comb_sum(counts, values, k):
+    """sum_i counts[i] C(values[i], k) as a Python int, for nonnegative int
+    arrays. C(v, k) is the falling factorial v (v-1) ... (v-k+1) over k!,
+    formed in int64 while the largest v has max(v, k)^k < 2^63 (v < 2^21 at
+    k = 3), which bounds both, and by ``math.comb`` past that; ``exact_dot``
+    takes the sum."""
+    if max(int(values.max(initial=0)), k) ** k < 1 << 63:
+        c = values.astype(np.int64)
+        for j in range(1, k):
+            c *= values - j
+        c //= factorial(k)
+    else:
+        c = np.array([comb(v, k) for v in values.tolist()], dtype=object)
+    return exact_dot(counts, c)
 
 
 def cut_report(tc, pc, k, classification):
@@ -91,12 +71,13 @@ def cut_report(tc, pc, k, classification):
     check_exact(n, tc.m, k, classification)
     d = tc.class_count
     total = comb(n, k)
-    s1 = tc.side_sizes.astype(np.int64)
-    unsplit = sum(_combs(np.concatenate((n - s1, s1)), k))
+    sides = np.concatenate((n - tc.side_sizes, tc.side_sizes)).astype(np.int64)
+    unsplit = _comb_sum(np.ones_like(sides), sides, k)
     sw = d * total - unsplit
     if pc is None:
         return sw, None
-    return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + _quadrant_sum(pc, k)
+    (bins,) = pc.nonzero()
+    return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + _comb_sum(pc[bins], bins, k)
 
 
 def sww3_cut(tc, pc, n, classification):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its exact arithmetic."""
+
+from operator import mul
 
 
 class GraphFormatError(ValueError):
@@ -40,6 +42,16 @@ def exact_div(num, den):
     if r != 0:
         raise IntegralityError(f"{num} is not divisible by {den}")
     return q
+
+
+def exact_dot(a, b):
+    """The dot product of two arrays of nonnegative integers as a Python int:
+    in int64 while len(a) max(a) and sum(a) max(b) are below 2^63, as they
+    bound sum(a) and every partial sum, and in Python ints otherwise. ``b``
+    may hold Python ints (dtype object)."""
+    if a.size * int(a.max(initial=0)) < 1 << 63 and int(a.sum()) * int(b.max(initial=0)) < 1 << 63:
+        return int(a @ b)
+    return sum(map(mul, a.tolist(), b.tolist()))
 
 
 class DeferredPreconditionError(PreconditionError):

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, GraphFormatError, exact_div
+from .errors import DisconnectedGraphError, GraphFormatError, exact_div, exact_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +211,10 @@ def distance_moments(dm):
 
     sum_cross uses the per-vertex identity
     sum_u [(sum_{v != u} d(u,v))^2 - sum_{v != u} d(u,v)^2], which equals the
-    naive triple loop but costs O(n^2). The row sums are taken one block of
-    rows at a time, so no n x n int64 copy is formed.
+    naive triple loop but costs O(n^2). The row sums are taken in int64 one
+    block of rows at a time, so no n x n int64 copy is formed; a row's
+    squares sum to at most n^3, below 2^63 while n < 2^21. The sums over rows
+    go through ``exact_dot``: the cross moment of P_10000 passes 2^63.
     """
     n = dm.n
     if n < 2:
@@ -225,12 +227,9 @@ def distance_moments(dm):
         b *= b
         squares.append(b.sum(axis=1))
     row_sums, row_sq = np.concatenate(sums), np.concatenate(squares)
-    wiener = int(row_sums.sum()) // 2
-    sum_sq = int(row_sq.sum()) // 2
-    if n < 3:
-        return DistanceMoments(wiener, sum_sq, 0)
-    sum_cross = int((row_sums * row_sums - row_sq).sum())
-    return DistanceMoments(wiener, sum_sq, sum_cross)
+    ones = np.ones(n, dtype=np.int64)
+    wiener, both_sq = exact_dot(ones, row_sums) // 2, exact_dot(ones, row_sq)
+    return DistanceMoments(wiener, both_sq // 2, exact_dot(row_sums, row_sums) - both_sq)
 
 
 def hyper_wiener(m):

@@ -325,8 +325,14 @@ def _cut_classes(g, a):
 
     The class of the first edge uv not yet taken is the cut between W_uv and
     W_vu, the vertices closer to u and those closer to v. The pass refuses a
-    vertex equidistant from u and v, a cut that meets an earlier one, and an
-    edge xy of the cut whose W_xy is neither W_uv nor W_vu.
+    vertex equidistant from u and v, and an edge xy of the cut whose W_xy is
+    neither W_uv nor W_vu.
+    - A new cut meets no earlier one. Let xy be an edge of an accepted cut
+      with side V, x in V. Its check gave d(w, x) < d(w, y) iff w is in V,
+      so f(w) = d(w, x) - d(w, y) is -1 on V and 0 or 1 off it. A later uv
+      is off every earlier cut, so f(u), f(v) are both -1 or both in {0, 1}.
+      The tie check made g(w) = d(w, u) - d(w, v) +-1, so g(x) - g(y) =
+      f(u) - f(v) is even and in [-1, 1], so 0: xy is not in the cut of uv.
     - Passing proves a partial cube. The cuts tile E, and every cycle
       crosses each cut an even number of times, so G is bipartite. In a
       bipartite graph Theta(f) is the cut of W_f, so the check gives
@@ -347,8 +353,6 @@ def _cut_classes(g, a):
             return None  # tie: not bipartite along this edge's cut
         closer_v = dv < du
         idx = np.flatnonzero(closer_v[eu] != closer_v[ev])
-        if (edge_class[idx] >= 0).any():
-            return None  # overlap: Theta not transitive here
         near = np.where(closer_v[eu[idx]], eu[idx], ev[idx])  # the end of each edge on v's side
         far = eu[idx] + ev[idx] - near
         for lo in range(0, idx.size, rows):
@@ -579,8 +583,7 @@ def pair_counts(tc):
     than the fixed numpy steps of the labelled path, n_ij^11 comes from the
     Gram X X^T of the side matrix X, formed in blocks of rows so that memory
     stays near d * n. X is float32 for BLAS, as are the products of the
-    labelled path: every partial sum is an integer of at most n, exact below
-    2^24; a larger n is refused rather than rounded.
+    labelled path, under the bound that ``_side_pair_counts`` checks.
     """
     if isinstance(tc, ProductClasses):
         return _product_pair_counts(tc)
@@ -590,7 +593,10 @@ def pair_counts(tc):
 def _side_pair_counts(tc):
     """``pair_counts`` of classes with a side matrix. A product's factors are
     counted here, not through the public name, so that ``pair_counts`` runs
-    once per graph."""
+    once per graph. The refusal of n >= 2^24 is the one bound of the float
+    products: every partial sum of the float32 Gram here and in
+    ``_crossing_counts`` is an integer of at most n, and the float64 tally
+    of ``_labelled_pair_counts`` stays below d^2 < n^2 < 2^53."""
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
@@ -760,6 +766,7 @@ class MedianCertificate:
 
 _WEDGE_BYTES = 64  # peak bytes per wedge of _common_neighbour_pairs: eight int64 arrays
 _SIDE_BYTES = 3  # peak bytes per (class, vertex) entry of the labelling and its checks
+_TOUR_BYTES = 200  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays, a row block
 
 
 def _edge_ids(g, x, y):
@@ -857,7 +864,7 @@ def median_certificate(g, max_bytes=None):
 
     G must be connected. A tree (m = n - 1) is median: ``_tree_labels``
     labels it from its Euler tour, which also shows it connected, and with
-    ``max_bytes`` its budget is its (n - 1) x n side matrix. Any other G
+    ``max_bytes`` it is charged (n - 1 + ``_TOUR_BYTES``) n bytes. Any other G
     must have one BFS from vertex 0 reach every vertex. It is turned away
     when the BFS levels show it not bipartite, and by the wedge pass
     (``_turned_away``), which runs before the BFS only where it takes no
@@ -902,7 +909,7 @@ def median_certificate(g, max_bytes=None):
     """
     n, m = g.n, g.size
     if m == n - 1:
-        if max_bytes is not None and _SIDE_BYTES * m * n > max_bytes:
+        if max_bytes is not None and (m + _TOUR_BYTES) * n > max_bytes:
             return MedianCertificate(None)
         labelled = _tree_labels(g)
         if labelled is None:

@@ -531,19 +531,21 @@ class TestRefusalsBeforeDistances:
 
     def test_force_lifts_the_distance_matrix_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 8)
-        c10, p9 = tmp_path / "c10.txt", tmp_path / "p9.txt"
+        c10, p100 = tmp_path / "c10.txt", tmp_path / "p100.txt"
         c10.write_text(edge_list_text(cycle(10)))
-        p9.write_text(edge_list_text(grid(1, 9)))
-        refused = "error = graph too large for the all-pairs distance matrix (n={} > 8); --force lifts the limit in compute and bench\n"
+        p100.write_text(edge_list_text(grid(1, 100)))
+        refused = "error = graph too large for the all-pairs distance matrix (n={} > {}); --force lifts the limit in compute and bench\n"
         for argv in (["compute", "--input", str(c10), "--index", "w"], ["bench", "--input", str(c10)], ["classify", "--input", str(c10)]):
-            assert run(capsys, *argv) == (2, "", refused.format(10))
+            assert run(capsys, *argv) == (2, "", refused.format(10, 8))
         code, out, _ = run(capsys, "compute", "--input", str(c10), "--index", "w", "--force")
         assert code == 0 and "w = 125" in out
-        # a median file is certified without distances: only bench's brute step needs them
+        # a median file is certified without distances: only bench's brute
+        # step needs them (at a limit whose budget holds the path's labelling)
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 99)
         for argv in (["compute", "--index", "w"], ["classify"]):
-            assert _untimed(run(capsys, *argv, "--input", str(p9))) == _untimed(run(capsys, *argv, "--gen", "path:9"))
-        assert run(capsys, "bench", "--input", str(p9)) == (2, "", refused.format(9))
-        code, out, _ = run(capsys, "bench", "--input", str(p9), "--force")
+            assert _untimed(run(capsys, *argv, "--input", str(p100))) == _untimed(run(capsys, *argv, "--gen", "path:100"))
+        assert run(capsys, "bench", "--input", str(p100)) == (2, "", refused.format(100, 99))
+        code, out, _ = run(capsys, "bench", "--input", str(p100), "--force")
         assert code == 0 and "equal = true" in out
         code, out, _ = run(capsys, "compute", "--gen", "grid:3,3", "--index", "ww", "--method", "cut")
         assert code == 0  # a generated median family needs no distances
@@ -636,6 +638,21 @@ class TestMedianInputWithoutDistances:
         code, out, err = run(capsys, "compute", "--input", str(f), "--index", "sww")
         assert code == 0, err
         assert f"sww3 = {grid_sww3(20, 20)}\nmethod = cut\n" in out
+
+    def test_tree_file_is_charged_what_its_labelling_takes(self, capsys, tmp_path, monkeypatch):
+        # the budget 4 * 300^2 holds (n - 1 + 200) n bytes up to n = 508; 3
+        # bytes a side entry would have refused the 400-vertex tree
+        monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 300)
+        for n, fits in ((400, True), (508, True), (509, False)):
+            f = tmp_path / f"tree{n}.txt"
+            f.write_text(edge_list_text(tree(7, n)))
+            if fits:
+                for argv in (["compute", "--index", "sww"], ["classify"]):
+                    got = _untimed(run(capsys, *argv, "--input", str(f)))
+                    assert got == _untimed(run(capsys, *argv, "--gen", f"tree:7,{n}")), (n, argv)
+            else:
+                message = f"error = graph too large for the all-pairs distance matrix (n={n} > 300); --force lifts the limit in compute and bench\n"
+                assert run(capsys, "classify", "--input", str(f)) == (2, "", message)
 
 
 def _builds_at_most_1000_vertices(monkeypatch):
@@ -805,7 +822,14 @@ class TestErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "text,far", [("4 3\n0 1\n1 2\n0 2\n", 3), ("5 4\n0 1\n1 2\n2 3\n0 3\n", 4)], ids=["triangle", "c4"]
+        "text,far",
+        [
+            ("4 3\n0 1\n1 2\n0 2\n", 3),
+            ("5 4\n0 1\n1 2\n2 3\n0 3\n", 4),
+            ("5 4\n0 1\n1 2\n0 2\n3 4\n", 3),
+            ("6 5\n0 1\n1 2\n2 3\n0 3\n4 5\n", 4),
+        ],
+        ids=["triangle", "c4", "triangle-edge", "c4-edge"],
     )
     def test_disconnected_file_with_n_minus_one_edges(self, capsys, tmp_path, text, far):
         # m = n - 1 but not a tree: the certificate refuses it, and the

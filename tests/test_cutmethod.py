@@ -33,6 +33,7 @@ from steiner_indices import (
     cut_report,
     cutmethod,
     distance_moments,
+    errors,
     hyper_wiener,
     median_classification,
     pair_counts,
@@ -40,6 +41,7 @@ from steiner_indices import (
     sww3_cut,
     theta_classes,
 )
+from steiner_indices.errors import exact_dot
 from steiner_indices.theta import MEDIAN
 
 
@@ -298,7 +300,7 @@ def test_product_cut_equals_the_grid_formulas():
 
 
 def _int64_bound(k):
-    """The largest v with v^k < 2^63: past it ``_combs`` leaves int64."""
+    """The largest v with v^k < 2^63: past it ``_comb_sum`` leaves int64."""
     v = round(2 ** (63 / k))
     while v**k >= 1 << 63:
         v -= 1
@@ -308,23 +310,47 @@ def _int64_bound(k):
 
 
 class TestExactSums:
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_combs_are_exact_at_and_past_the_int64_bound(self, k, monkeypatch):
-        b = _int64_bound(k)
-        for values in (list(range(k + 3)), [0, b - 1, b], [3, b, b + 1, 2 * b]):
-            values = [v for v in values if v < 1 << 63] * cutmethod._NUMPY_COMBS  # in int64, enough for numpy
-            if max(values) <= b:  # up to the bound the binomials are formed in int64
-                monkeypatch.setattr(cutmethod, "comb", None)
-            got = cutmethod._combs(np.array(values, dtype=np.int64), k)
+    @pytest.mark.parametrize("length", [2, 7])
+    def test_exact_dot_is_exact_at_and_past_the_int64_bound(self, length, monkeypatch):
+        # len(a) max(a) and sum(a) max(b) reach 2^63 - 1 (rounded down), then
+        # pass it, where the int64 dot would wrap
+        top = ((1 << 63) - 1) // length
+        for a, b, at in (
+            ([top] * length, [1] * length, True),
+            ([top + 1] * length, [1] * length, False),
+            ([1] * length, [top] * length, True),
+            ([1] * length, [top + 1] * length, False),
+            ([1 << 62] * 4, [1] * 4, False),  # sum(a) alone wraps to 0 in int64
+        ):
+            if at:
+                monkeypatch.setattr(errors, "mul", None)  # at the bound the dot stays in int64
+            got = exact_dot(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
             monkeypatch.undo()
-            assert got == [comb(v, k) for v in values], (k, values)
-            assert all(type(c) is int for c in got)
-        assert cutmethod._combs(np.zeros(0, dtype=np.int64), k) == []
+            assert got == sum(map(mul, a, b)), (a, b)
+            assert type(got) is int
+        assert exact_dot(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == 0
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_quadrant_sum_is_exact_at_and_past_the_int64_bound(self, k, monkeypatch):
-        # sum(pc) C(v, k) for the top bin v is the largest below 2^63, then
-        # past it, where one bin's product alone leaves int64
+    def test_comb_sum_forms_each_binomial_exactly_at_and_past_the_int64_bound(self, k, monkeypatch):
+        b = _int64_bound(k)
+        for values in (list(range(k + 3)), [0, b - 1, b], [3, b, b + 1, 2 * b]):
+            values = [v for v in values if v < 1 << 63]  # in int64
+            counts = list(range(1, len(values) + 1))
+            if max(values) <= b:  # up to the bound the binomials are formed in int64
+                monkeypatch.setattr(cutmethod, "comb", None)
+            got = cutmethod._comb_sum(np.array(counts, dtype=np.int64), np.array(values, dtype=np.int64), k)
+            monkeypatch.undo()
+            assert got == sum(c * comb(v, k) for c, v in zip(counts, values)), (k, values)
+            assert type(got) is int
+        empty = np.zeros(0, dtype=np.int64)
+        assert cutmethod._comb_sum(empty, empty, k) == 0
+        # 21! > 2^63: small values at a large k take math.comb, not an int64 k!
+        assert cutmethod._comb_sum(np.ones(8, dtype=np.int64), np.arange(8), 20 + k) == 0
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_comb_sum_dot_is_exact_at_and_past_the_int64_bound(self, k, monkeypatch):
+        # sum(counts) C(v, k) for the top bin v is the largest below 2^63,
+        # then past it, where one bin's product alone leaves int64
         v = min(_int64_bound(k), 5000)  # C(v, k) itself is formed in int64
         at = ((1 << 63) - 1) // comb(v, k)
         for total in (at, at + 1):
@@ -333,18 +359,15 @@ class TestExactSums:
                 pc[bins] = 1
                 pc[v] = total - len(bins) + 1
                 if total == at:
-                    monkeypatch.setattr(cutmethod, "mul", None)  # at the bound the dot stays in int64
-                got = cutmethod._quadrant_sum(pc, k)
-                monkeypatch.undo()
+                    monkeypatch.setattr(errors, "mul", None)  # at the bound the dot stays in int64
                 (nz,) = pc.nonzero()
+                got = cutmethod._comb_sum(pc[nz], nz, k)
+                monkeypatch.undo()
                 assert got == sum(map(mul, pc[nz].tolist(), [comb(x, k) for x in nz.tolist()])), (k, total, bins)
                 assert type(got) is int
-        assert cutmethod._quadrant_sum(np.zeros(v + 1, dtype=np.int64), k) == 0
 
-    @pytest.mark.parametrize("numpy_from", [0, cutmethod._NUMPY_COMBS])
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_cut_report_equals_the_per_bin_sums(self, k, numpy_from, monkeypatch):
-        monkeypatch.setattr(cutmethod, "_NUMPY_COMBS", numpy_from)
+    def test_cut_report_equals_the_per_bin_sums(self, k):
         # a tree-shaped class structure (m = n - 1 admits every k) whose sides
         # and quadrant sizes reach the int64 bound and pass it where an
         # array of that length is small enough to build

@@ -30,9 +30,11 @@ from steiner_indices import (
     distance_moments,
     hyper_wiener,
     is_bipartite,
+    modular_indices_3,
     parse_edge_list,
 )
 from steiner_indices.graph import bfs_distances
+from steiner_indices.theta import MEDIAN
 
 
 class TestParseEdgeList:
@@ -289,6 +291,23 @@ class TestDistanceMoments:
             tracemalloc.stop()
         assert (m.wiener, m.sum_sq) == (comb(n + 1, 3), n * n * (n * n - 1) // 12)
         assert peak < 8 * n * n // 4  # a quarter of one int64 copy
+
+    def test_cross_moment_past_int64_is_exact(self):
+        # 64 |i - j| on n = 2000: the cross moment is about 1.7 * 2^63, where an
+        # int64 sum wraps; the row sums come from closed forms in Python ints
+        n, scale = 2000, 64
+        r = np.arange(n)
+        d = DistanceMatrix(scale * np.abs(r[:, None] - r))
+        row_sums = [scale * (i * (i + 1) + (n - 1 - i) * (n - i)) // 2 for i in range(n)]
+        row_sq = [scale**2 * (i * (i + 1) * (2 * i + 1) + (n - 1 - i) * (n - i) * (2 * n - 2 * i - 1)) // 6 for i in range(n)]
+        wiener, sum_sq = sum(row_sums) // 2, sum(row_sq) // 2
+        sum_cross = sum(s * s - q for s, q in zip(row_sums, row_sq))
+        assert sum_cross == 15280802477398425600 > 1 << 63
+        m = distance_moments(d)
+        assert (m.wiener, m.sum_sq, m.sum_cross) == (wiener, sum_sq, sum_cross)
+        sw3 = (n - 2) * wiener // 2
+        sww3 = (2 * (n - 2) * wiener + (n - 2) * sum_sq + sum_cross) // 8
+        assert modular_indices_3(d, m, MEDIAN) == (sw3, sww3)
 
 
 class TestHyperWiener:

@@ -315,12 +315,16 @@ def random_tree(rng, n):
 
 # disconnected graphs with m = n - 1: a triangle and an isolated vertex (last
 # or vertex 0), C4 and one, and two triangles at vertex 0 and two isolated
-# vertices, whose rows interleave so that its Euler tour takes all 2m arcs
+# vertices, whose rows interleave so that its Euler tour takes all 2m arcs;
+# a triangle or C4 with a disjoint edge has no isolated vertex, and its tour
+# is cut short
 DISCONNECTED_N_MINUS_ONE = {
     "triangle": (4, [(0, 1), (1, 2), (0, 2)]),
     "triangle-isolated-0": (4, [(1, 2), (2, 3), (1, 3)]),
     "c4": (5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "figure-eight": (7, [(0, 1), (1, 3), (0, 3), (0, 2), (2, 4), (0, 4)]),
+    "triangle-edge": (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "c4-edge": (6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]),
 }
 
 
@@ -349,6 +353,8 @@ class TestTreeLabels:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * g.size * g.n
+        # what median_certificate charges a tree against its byte budget
+        assert peak <= (g.size + theta_module._TOUR_BYTES) * g.n
 
     @pytest.mark.parametrize("name", DISCONNECTED_N_MINUS_ONE)
     def test_disconnected_graphs_are_refused(self, name):
