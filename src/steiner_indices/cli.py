@@ -11,7 +11,6 @@ import os
 import sys
 import time
 from functools import cache, cached_property
-from math import comb
 
 from . import cutmethod, generators, graph, steiner, theta
 from .errors import IntegralityError, PreconditionError, not_modular_error
@@ -33,14 +32,13 @@ def _fmt_value(v):
     return str(v)
 
 
-def emit(report, fmt, stream=None):
-    stream = stream or sys.stdout
+def emit(report, fmt):
     if fmt == "json":
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
         for k, v in report.items():
-            stream.write(f"{k} = {_fmt_value(v)}\n")
+            sys.stdout.write(f"{k} = {_fmt_value(v)}\n")
 
 
 def load_graph(args):
@@ -72,12 +70,16 @@ class Analysis:
         if g is not None:
             self.g = g
         self.desc = desc
-        self.force = force  # build the distance matrix at any n
+        self.force = force  # build the distance matrix and enumerate subsets at any n
         self.n, self.m = generators.order_size(desc) if desc is not None else (g.n, g.size)
 
     @cached_property
     def g(self):  # a descriptor's graph, built for the first reader of its edges
         return generators.generate(self.desc)
+
+    @property
+    def guard(self):  # the cap on subsets that brute force enumerates
+        return None if self.force else BRUTE_GUARD
 
     @property
     def over_limit(self):  # the distance matrix is refused at this n
@@ -151,7 +153,7 @@ class Analysis:
         return theta.pair_counts(self.theta)
 
 
-def _formula(an, index, k, guard):
+def _formula(an, index, k):
     """Closed forms of the generated complete graphs, paths and grids."""
     kind, params = (an.desc.kind, an.desc.params) if an.desc else (None, ())
     if kind == "grid" and min(params) == 1:
@@ -168,7 +170,7 @@ def _formula(an, index, k, guard):
     raise PreconditionError(f"no closed formula applies to this input for index {index}, k={k}")
 
 
-def _cut(an, index, k, guard):
+def _cut(an, index, k):
     if index == "hosoya":
         raise PreconditionError("method cut does not apply to index hosoya")
     k_cut = 2 if index in ("w", "ww") else k  # W and WW are SW_2 and SWW_2
@@ -179,7 +181,7 @@ def _cut(an, index, k, guard):
     return cutmethod.cut_report(an.theta, an.pairs, k_cut, cls)[1]
 
 
-def _modular(an, index, k, guard):
+def _modular(an, index, k):
     if index not in ("sw", "sww"):
         raise PreconditionError(f"method modular does not apply to index {index}")
     if k != 3:
@@ -191,30 +193,30 @@ def _modular(an, index, k, guard):
     return sw3 if index == "sw" else sww3
 
 
-def _brute(an, index, k, guard):
+def _brute(an, index, k):
     if index == "w":
         return an.moments.wiener
     if index == "ww":
         return graph.hyper_wiener(an.moments)
-    steiner.check_k(an.n, k, guard)  # before an.d: a refusal needs no graph or distances
+    steiner.check_k(an.n, k, an.guard)  # before an.d: a refusal needs no graph or distances
     if index == "hosoya":
-        return steiner.steiner_hosoya(an.g, an.d, k, guard)
-    sw, sww = steiner.steiner_k_indices_brute(an.g, an.d, k, guard=guard)
+        return steiner.steiner_hosoya(an.g, an.d, k, an.guard)
+    sw, sww = steiner.steiner_k_indices_brute(an.g, an.d, k, guard=an.guard)
     return sw if index == "sw" else sww
 
 
 _METHODS = {"formula": _formula, "cut": _cut, "modular": _modular, "brute": _brute}  # auto's order
 
 
-def _compute_value(an, index, k, method, guard):
+def _compute_value(an, index, k, method):
     """Returns (value, method_tag) from the row of ``_METHODS`` that ``method``
-    names. A row (an, index, k, guard) -> value raises PreconditionError with
+    names. A row (an, index, k) -> value raises PreconditionError with
     the reason where it does not apply; ``auto`` takes the first row that does
     not refuse, and brute force's refusal is final."""
     names = tuple(_METHODS) if method == "auto" else (method,)
     for name in names:
         try:
-            value = _METHODS[name](an, index, k, guard)
+            value = _METHODS[name](an, index, k)
         except PreconditionError:
             if name == names[-1]:
                 raise
@@ -232,11 +234,10 @@ def run_compute(args):
     an, label = load_graph(args)
     if not 1 <= args.k <= steiner.K_MAX:
         raise UsageError(f"--k must be in 1..{steiner.K_MAX}")
-    guard = None if args.force else BRUTE_GUARD
     report = {"graph": label, "n": an.n, "edges": an.m}
 
     start = time.perf_counter()
-    value, tag = _compute_value(an, args.index, args.k, args.method, guard)
+    value, tag = _compute_value(an, args.index, args.k, args.method)
     elapsed = time.perf_counter() - start
 
     key = args.index if args.index in ("w", "ww", "hosoya") else f"{args.index}{args.k}"
@@ -246,7 +247,7 @@ def run_compute(args):
 
     if args.verify:
         start = time.perf_counter()
-        ref = _METHODS["brute"](an, args.index, args.k, guard)
+        ref = _METHODS["brute"](an, args.index, args.k)
         report["verify_method"] = "brute"
         report["verify_elapsed_s"] = time.perf_counter() - start
         equal = ref == value  # SteinerHosoya compares k and coefficients
@@ -287,19 +288,19 @@ def run_bench(args):
     report = {"graph": label, "n": an.n, "edges": an.m}
 
     start = time.perf_counter()
-    cut_value = _METHODS["cut"](an, "sww", 3, None)
+    cut_value = _METHODS["cut"](an, "sww", 3)
     cut_elapsed = time.perf_counter() - start
     report["classes"] = an.theta.class_count
     report["sww3_cut"] = cut_value
     report["cut_s"] = cut_elapsed
 
-    triples = comb(an.n, 3)
-    guard = args.max_brute
-    if triples > guard and not args.force:
-        report["brute"] = f"skipped: guard ({triples} triples > {guard})"
+    try:
+        steiner.check_k(an.n, 3, an.guard)
+    except PreconditionError as exc:
+        report["brute"] = f"skipped: {exc}"
     else:
         start = time.perf_counter()
-        brute_value = _METHODS["brute"](an, "sww", 3, None)
+        brute_value = _METHODS["brute"](an, "sww", 3)
         brute_elapsed = time.perf_counter() - start
         report["sww3_brute"] = brute_value
         report["brute_s"] = brute_elapsed
@@ -343,7 +344,6 @@ def build_parser():
 
     p = sub.add_parser("bench", help="time the cut method against brute enumeration (k = 3)")
     _add_source_args(p)
-    p.add_argument("--max-brute", type=int, default=BRUTE_GUARD)
     p.add_argument("--force", action="store_true", help="run brute even above the guard; lift the distance-matrix limit")
     p.set_defaults(func=run_bench)
     return parser

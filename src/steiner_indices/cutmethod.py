@@ -80,6 +80,6 @@ def cut_report(tc, pc, k, classification):
     return sw, sw + comb(d, 2) * total - (d - 1) * unsplit + _comb_sum(pc[bins], bins, k)
 
 
-def sww3_cut(tc, pc, n, classification):
-    """SWW_3 of a modular partial cube on n = tc.n vertices."""
+def sww3_cut(tc, pc, classification):
+    """SWW_3 of a modular partial cube."""
     return cut_report(tc, pc, 3, classification)[1]

@@ -118,7 +118,7 @@ def parse_edge_list(text):
     return Graph.from_edges(n, np.array(edges, dtype=np.int64), lines)
 
 
-_BFS_BLOCK = 1 << 18  # sources x directed edges per block of all_pairs_distances
+_BLOCK_ENTRIES = 1 << 18  # entries of a temporary per numpy step of the blocked loops here and in theta
 
 
 def _bfs(indptr, nbr, dist, sources):
@@ -173,7 +173,7 @@ def all_pairs_distances(g):
     Raises DisconnectedGraphError naming an unreachable pair."""
     n, m2 = g.n, 2 * g.size
     d = np.empty((n, n), dtype=np.int32)
-    rows = max(1, _BFS_BLOCK // max(1, m2))
+    rows = max(1, _BLOCK_ENTRIES // max(1, m2))  # sources x directed edges per block
     for lo in range(0, n, rows):
         block = d[lo : lo + rows].reshape(-1)
         block.fill(-1)
@@ -203,9 +203,6 @@ class DistanceMoments:
     sum_cross: int
 
 
-_MOMENT_BLOCK = 1 << 18  # distances widened to int64 per step of distance_moments
-
-
 def distance_moments(dm):
     """Compute the pair and triple distance moments exactly.
 
@@ -219,7 +216,7 @@ def distance_moments(dm):
     n = dm.n
     if n < 2:
         return DistanceMoments(0, 0, 0)
-    rows = max(1, _MOMENT_BLOCK // n)
+    rows = max(1, _BLOCK_ENTRIES // n)
     sums, squares = [], []
     for lo in range(0, n, rows):
         b = dm.a[lo : lo + rows].astype(np.int64)

@@ -105,7 +105,9 @@ def check_k(n, k, guard=None):
         )
 
 
-_BLOCK_ELEMENTS = 1 << 19  # entries of a temporary formed per numpy step
+# entries of a temporary formed per numpy step, above graph._BLOCK_ENTRIES:
+# k = 3 on grid:20,20 took 0.95 s on 2-CPU x86-64, 1.17 s at 2^18, 1.10 s at 2^20
+_BLOCK_ELEMENTS = 1 << 19
 _SLAB_ROWS = 8  # u rows that share one pair-sum slab, at least
 _HIST_BINS = 1 << 20  # histogram bins (3 max d + 1) the k = 3 kernel allocates at most
 

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import graph
 from .errors import DisconnectedGraphError, IntegralityError, PreconditionError
 from .graph import _bfs, all_pairs_distances, bfs_distances
 
@@ -151,7 +152,7 @@ def _theta_classes_pairwise(g, d):
     """
     eu, ev, a = g.eu, g.ev, d.a
     label = np.arange(eu.size)
-    rows = max(1, _GRAM_BLOCK // max(1, eu.size))
+    rows = max(1, graph._BLOCK_ENTRIES // max(1, eu.size))
     for lo in range(0, eu.size, rows):
         f = a[eu[lo : lo + rows]] - a[ev[lo : lo + rows]]
         i, j = np.nonzero(f[:, eu] != f[:, ev])
@@ -163,8 +164,10 @@ def _theta_classes_pairwise(g, d):
     return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
-_GRAM_BLOCK = 1 << 18  # entries per numpy step of pair_counts, the Theta scan, the labellings and the certificate
-_GRAM_SMALL = 1 << 22  # d * d * n up to which pair_counts forms the Gram even with a labelling
+# d * d * n up to which pair_counts forms the Gram even with a labelling: one
+# BLAS product beats the labelled path's fixed numpy steps there, 1.8 against
+# 4.8 ms on 2-CPU x86-64 over the 40 certified seed-1 corpus-auto graphs
+_GRAM_SMALL = 1 << 22
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24 exactly
 
 
@@ -221,7 +224,7 @@ def _one_bfs_labels(g, dist):
         labels[lo:hi] |= labels[q1[lo:hi]] | labels[q2[lo:hi]]
     labels = labels[at]  # back to vertex order
     flips = np.empty(eu.size, dtype=np.int64)
-    step = max(1, _GRAM_BLOCK // words)
+    step = max(1, graph._BLOCK_ENTRIES // words)
     for lo in range(0, eu.size, step):
         x = (labels[eu[lo : lo + step]] ^ labels[ev[lo : lo + step]]).ravel()
         nz = x.nonzero()[0]
@@ -301,10 +304,11 @@ def _tree_labels(g):
     out, back = pos[fwd], pos[rev[fwd]]
     gates = np.where(out < back, g.ev, g.eu)
     lo, hi = np.minimum(out, back), np.maximum(out, back)
-    tin = np.full(n, -1, dtype=pos.dtype)
+    del deg, row, rev, after, wrap, rank, pos, fwd, out, back  # freed before the side matrix is filled
+    tin = np.full(n, -1, dtype=lo.dtype)
     tin[gates] = lo
     sides = np.empty((m, n), dtype=bool)
-    rows = max(1, _GRAM_BLOCK // max(1, n))
+    rows = max(1, graph._BLOCK_ENTRIES // max(1, n))
     for s in range(0, m, rows):
         block = sides[s : s + rows]
         np.greater_equal(tin, lo[s : s + rows, None], out=block)
@@ -344,7 +348,7 @@ def _cut_classes(g, a):
     eu, ev = g.eu, g.ev
     edge_class = np.full(eu.size, -1, dtype=np.int64)
     sides = []
-    rows = max(1, _GRAM_BLOCK // max(1, g.n))
+    rows = max(1, graph._BLOCK_ENTRIES // max(1, g.n))
     for i in range(eu.size):
         if edge_class[i] >= 0:
             continue
@@ -448,14 +452,14 @@ def _crossing_counts(tc):
 
     The classes that cross something are coloured so that no two of one
     colour cross; by facts (a) to (c) of ``pair_counts`` each colour is then
-    laminar, any two members nested or disjoint. A class alone in its colour
-    takes its float32 Gram row. A colour F of more is ordered container
-    first, so the members of F holding a vertex v form a chain whose deepest
-    member, deep_F(v), has the largest position. For two such colours F and
-    G, C[k, l] counts the vertices v with deep_F(v) = k and deep_G(v) = l,
-    and with A[i, k] = 1 iff member k lies in member i, the block of n_ij^11
-    is A_F C A_G^T: v lies in member i iff deep_F(v) does. The products are
-    exact in float32, every partial sum an integer in [0, n].
+    laminar, any two members nested or disjoint, a colour of one class too.
+    A colour F is ordered container first, so the members of F holding a
+    vertex v form a chain whose deepest member, deep_F(v), has the largest
+    position. For two colours F and G, C[k, l] counts the vertices v with
+    deep_F(v) = k and deep_G(v) = l, and with A[i, k] = 1 iff member k lies
+    in member i, the block of n_ij^11 is A_F C A_G^T: v lies in member i iff
+    deep_F(v) does. The products are exact in float32, every partial sum an
+    integer in [0, n].
     """
     (i, j), sides, d = tc.crossings, tc.sides, tc.class_count
     crosses = np.zeros(d, dtype=bool)
@@ -469,17 +473,7 @@ def _crossing_counts(tc):
     start = np.cumsum(size) - size
     pos = np.zeros(d, dtype=np.int64)
     pos[order] = np.arange(k.size) - np.repeat(start, size)  # the position of each class in its colour
-    alone = crosses & (size[colour] == 1)
-    swap = alone[j] | (~alone[i] & (colour[i] > colour[j]))
-    i, j = np.where(swap, j, i), np.where(swap, i, j)  # i alone, or else colour[i] < colour[j]
     counts = np.empty(i.size, dtype=np.int32)
-    gram = alone[i]  # the pairs read from Gram rows
-    if gram.any():
-        member = sides[k].astype(np.float32)
-        rows = member[alone[k]] @ member.T
-        counts[gram] = rows[np.cumsum(alone)[i[gram]] - 1, local[j[gram]]]
-    if gram.all():
-        return counts
 
     def laminar(c):  # (A, deep_F + 1 at every vertex, 0 where no member holds it) of colour c
         m = order[start[c] : start[c] + size[c]]
@@ -488,7 +482,7 @@ def _crossing_counts(tc):
         return sides[np.ix_(m, tc.gates[m])].astype(np.float32), deep  # fact (a)
 
     block = colour[i] * size.size + colour[j]
-    blocks = np.flatnonzero(np.bincount(block[~gram])).tolist()
+    blocks = np.flatnonzero(np.bincount(block)).tolist()
     forest = {c: laminar(c) for c in {c for key in blocks for c in divmod(key, size.size)}}
     for key in blocks:
         f, g = divmod(key, size.size)
@@ -528,13 +522,13 @@ def _labelled_pair_counts(tc):
     hist[n] = comb(d, 2)
     hist[n + size] += (d - 1) * count
     ordered = np.zeros(width)  # (i, j) and (j, i), i != j, by n - a_i - a_j; exact in float64 below 2^53
-    rows = max(1, _GRAM_BLOCK // max(1, size.size))
+    rows = max(1, graph._BLOCK_ENTRIES // max(1, size.size))
     for lo in range(0, size.size, rows):
         both = count[lo : lo + rows, None] * count
         ordered += np.bincount((2 * n - size[lo : lo + rows, None] - size).ravel(), both.ravel(), width)
     ordered[2 * n - 2 * size] -= count
     hist += (ordered / 2).astype(np.int64)
-    rows = max(1, _GRAM_BLOCK // max(1, d))
+    rows = max(1, graph._BLOCK_ENTRIES // max(1, d))
     for lo in range(0, d, rows):
         outer, inner = np.divmod(np.flatnonzero(sides[lo : lo + rows, z]), d)
         outer += lo
@@ -608,7 +602,7 @@ def _side_pair_counts(tc):
         return _labelled_pair_counts(tc)
     member = tc.sides.astype(np.float32)
     hist = np.zeros(n + 1, dtype=np.int64)
-    rows = max(1, _GRAM_BLOCK // max(d, 1))
+    rows = max(1, graph._BLOCK_ENTRIES // max(d, 1))
     for lo in range(0, d, rows):
         hi = min(lo + rows, d)
         n11 = (member[lo:hi] @ member.T).astype(np.int64)
@@ -732,7 +726,10 @@ class GraphClassification:
 MEDIAN = GraphClassification(True, True, "median", None)  # a median graph is a partial cube (Mulder 1978)
 
 
-_BLOCK_ELEMENTS = 1 << 16  # roots x wedges evaluated per numpy step
+# roots x wedges evaluated per numpy step, below graph._BLOCK_ENTRIES: the
+# quadrangle scan stops at the first failing block, and a larger block wastes
+# work (median_classification of C_2000 on 2-CPU x86-64: 0.8 ms, 2.6 ms at 2^18)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _common_neighbour_pairs(g):
@@ -766,7 +763,7 @@ class MedianCertificate:
 
 _WEDGE_BYTES = 64  # peak bytes per wedge of _common_neighbour_pairs: eight int64 arrays
 _SIDE_BYTES = 3  # peak bytes per (class, vertex) entry of the labelling and its checks
-_TOUR_BYTES = 200  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays, a row block
+_TOUR_BYTES = 110  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays, a row block
 
 
 def _edge_ids(g, x, y):
@@ -776,8 +773,8 @@ def _edge_ids(g, x, y):
 
 def _segment_blocks(bounds, width):
     """(lo, hi) runs of segments, segment i being rows bounds[i]:bounds[i + 1],
-    of about _GRAM_BLOCK // width rows each, and one segment at least."""
-    step, lo, last = max(1, _GRAM_BLOCK // width), 0, bounds.size - 1
+    of about graph._BLOCK_ENTRIES // width rows each, and one segment at least."""
+    step, lo, last = max(1, graph._BLOCK_ENTRIES // width), 0, bounds.size - 1
     while lo < last:
         hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1)
         yield lo, hi

@@ -104,7 +104,7 @@ def test_criterion_2_grid_formulas():
             cls = median_classification(g, d)
             sw_c, sww_c = cut_report(tc, pc, 3, cls)
             assert grid_sw3(m, n) == sw_b == sw_c
-            assert sww_b == sww_c == sww3_cut(tc, pc, g.n, cls)
+            assert sww_b == sww_c == sww3_cut(tc, pc, cls)
             assert (sw_c, sww_c) == paper_sw3_sww3(tc)
             if (m, n) != (2, 2):  # the 2 x 2 strip is outside the formula
                 assert grid_sww3(m, n) == sww_b
@@ -212,7 +212,7 @@ def test_criterion_6_performance():
     def cut_once():
         tc = theta_classes(g, method="crossing")
         pc = pair_counts(tc)
-        return sww3_cut(tc, pc, g.n, cls)
+        return sww3_cut(tc, pc, cls)
 
     cut_once()  # first call outside the timed runs, so they time a warm process
     cut_elapsed = float("inf")
@@ -238,7 +238,7 @@ def test_criterion_6_performance():
     big_cls = family_classification(big_desc)
     start = time.perf_counter()
     tc = theta_classes(big, method="crossing")
-    big_value = sww3_cut(tc, pair_counts(tc), big.n, big_cls)
+    big_value = sww3_cut(tc, pair_counts(tc), big_cls)
     big_elapsed = time.perf_counter() - start
     assert big_elapsed < 5
     assert big_value > 0

@@ -13,6 +13,7 @@ import steiner_indices
 from helpers import complete, complete_bipartite, cycle, edge_list_text, grid, hung_k23, random_connected_graph, tree
 from steiner_indices import Graph, ThetaClasses, cli, generate, grid_sww3, parse_descriptor, theta_classes
 from steiner_indices.cli import main
+from steiner_indices.errors import IntegralityError
 
 
 def run(capsys, *argv):
@@ -234,8 +235,8 @@ class TestCompute:
     def test_verify_mismatch_exits_3(self, capsys, monkeypatch):
         real = cli._METHODS["brute"]
 
-        def wrong(an, index, k, guard):
-            return real(an, index, k, guard) + 1
+        def wrong(an, index, k):
+            return real(an, index, k) + 1
 
         monkeypatch.setitem(cli._METHODS, "brute", wrong)
         code, out, err = run(
@@ -307,6 +308,19 @@ class TestCompute:
         assert code == 0
         assert "sww2 = 42" in out
         assert "method = cut" in out
+
+    def test_one_row_grid_takes_the_path_formula(self, capsys):
+        code, out, _ = run(capsys, "compute", "--gen", "grid:1,5", "--index", "sw", "--method", "formula")
+        assert code == 0
+        assert "\nsw3 = 30\nmethod = formula\n" in out
+
+    def test_formula_refuses_a_grid_its_polynomials_do_not_cover(self, capsys):
+        argv = ("compute", "--gen", "grid:2,2", "--index", "sww")
+        assert run(capsys, *argv, "--method", "formula") == (
+            2, "", "error = no closed formula applies to this input for index sww, k=3\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "\nsww3 = 12\nmethod = cut\n" in out
 
     def test_formula_method_unavailable(self, capsys):
         code, _, err = run(
@@ -640,10 +654,10 @@ class TestMedianInputWithoutDistances:
         assert f"sww3 = {grid_sww3(20, 20)}\nmethod = cut\n" in out
 
     def test_tree_file_is_charged_what_its_labelling_takes(self, capsys, tmp_path, monkeypatch):
-        # the budget 4 * 300^2 holds (n - 1 + 200) n bytes up to n = 508; 3
+        # the budget 4 * 300^2 holds (n - 1 + 110) n bytes up to n = 547; 3
         # bytes a side entry would have refused the 400-vertex tree
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 300)
-        for n, fits in ((400, True), (508, True), (509, False)):
+        for n, fits in ((400, True), (547, True), (548, False)):
             f = tmp_path / f"tree{n}.txt"
             f.write_text(edge_list_text(tree(7, n)))
             if fits:
@@ -778,10 +792,21 @@ class TestBench:
                 assert code == 0, err
                 assert f"\nclasses = {classes}\n" in out, (command, spec)
 
+    def test_mismatch_exits_3(self, capsys, monkeypatch):
+        real = cli._METHODS["brute"]
+        monkeypatch.setitem(cli._METHODS, "brute", lambda an, index, k: real(an, index, k) + 1)
+        code, out, err = run(capsys, "bench", "--gen", "grid:4,4")
+        assert code == 3
+        assert "\nequal = false\n" in out
+        assert err.startswith("verification mismatch = sww3: cut gave ")
+
     def test_guard_skips_brute(self, capsys):
-        code, out, _ = run(capsys, "bench", "--gen", "grid:20,20", "--max-brute", "1000")
+        code, out, _ = run(capsys, "bench", "--gen", "grid:20,20")
         assert code == 0
-        assert "skipped: guard" in out
+        assert (
+            "\nbrute = skipped: C(400,3) = 10586800 subsets exceeds the enumeration guard 5000000; "
+            "--force lifts it\n"
+        ) in out
         assert "speedup" not in out
 
 
@@ -848,6 +873,14 @@ class TestErrors:
         code, _, err = run(capsys, "compute", "--gen", "path:5", "--index", "sw", "--k", "0")
         assert code == 1
         assert "--k" in err
+
+    def test_integrality_error_exits_2(self, capsys, monkeypatch):
+        def odd(an, index, k):
+            raise IntegralityError("odd sum")
+
+        monkeypatch.setitem(cli._METHODS, "cut", odd)
+        argv = ("compute", "--gen", "grid:3,3", "--index", "sww", "--method", "cut")
+        assert run(capsys, *argv) == (2, "", "internal error = odd sum\n")
 
     def test_bad_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -59,7 +59,7 @@ class TestAnchors:
         assert paper_moments(tc) == (10, 20, 64)
         assert cut_report(tc, pc, 2, cls) == (10, 15)  # W, WW
         assert cut_report(tc, pc, 3, cls) == (10, 18)
-        assert sww3_cut(tc, pc, g.n, cls) == 18
+        assert sww3_cut(tc, pc, cls) == 18
 
     def test_c4(self):
         g = cycle(4)
@@ -67,7 +67,7 @@ class TestAnchors:
         assert paper_moments(tc) == (8, 12, 40)
         assert cut_report(tc, pc, 2, cls) == (8, 10)
         assert cut_report(tc, pc, 3, cls) == (8, 12)
-        assert sww3_cut(tc, pc, g.n, cls) == 12
+        assert sww3_cut(tc, pc, cls) == 12
 
     def test_grid_2x3(self):
         g = grid(2, 3)
@@ -75,7 +75,7 @@ class TestAnchors:
         assert paper_moments(tc) == (25, 49, 324)
         assert cut_report(tc, pc, 2, cls) == (25, 37)
         assert cut_report(tc, pc, 3, cls) == (50, 90)
-        assert sww3_cut(tc, pc, g.n, cls) == 90
+        assert sww3_cut(tc, pc, cls) == 90
 
 
 class TestRefusals:
@@ -102,7 +102,7 @@ class TestRefusals:
             cut_report(tc, pc, 3, cls)
         assert "witness triple 0,2,4" in str(exc.value)
         with pytest.raises(PreconditionError, match="not modular"):
-            sww3_cut(tc, pc, g.n, cls)
+            sww3_cut(tc, pc, cls)
 
     def test_steiner_formulas_refuse_non_partial_cube(self):
         g = complete_bipartite(2, 3)  # modular but not a partial cube

@@ -154,7 +154,7 @@ class TestBfs:
 
     @pytest.mark.parametrize("block", [1, 40, 1 << 18])
     def test_all_pairs_in_source_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(graph_module, "_BFS_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
         disconnected = 0
         for g in bfs_corpus():
             expected = [queue_bfs_distances(g, s) for s in range(g.n)]
@@ -267,7 +267,7 @@ class TestDistanceMoments:
 
     @pytest.mark.parametrize("block", [1, 130, 1 << 18])
     def test_row_blocks_give_the_whole_matrix_sums(self, monkeypatch, block):
-        monkeypatch.setattr(graph_module, "_MOMENT_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
         for g in small_corpus(count=12, max_n=8, seed=3) + [grid(7, 9), hypercube(6)]:
             rows = all_pairs_distances(g).a.tolist()
             row_sums = [sum(r) for r in rows]

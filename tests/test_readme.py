@@ -7,13 +7,14 @@ parts (a key ending in ``_s``, and ``speedup``) vary between runs and are not
 checked, so a command that gives only timings is not run.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from steiner_indices.cli import main
+from steiner_indices.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -63,3 +64,20 @@ def test_command_prints_its_comment(capsys, argv, parts):
 def test_library_block_runs():
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_documented_flags_are_the_accepted_flags():
+    # a removed option cannot stay documented, nor an added one go without
+    # mention; each command of the section runs with flags its subcommand takes
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == set().union(*accepted.values())
+    lines = [line.partition("#")[0] for line in section.splitlines() if line.startswith("steiner-indices ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert commands
+    for name, *argv in commands:
+        assert {a for a in argv if a.startswith("--")} <= accepted[name], (name, argv)

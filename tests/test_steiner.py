@@ -435,6 +435,12 @@ class TestModularIndices3:
         got = modular_indices_3(d, distance_moments(d), median_classification(g, d))
         assert got == (50, 90)
 
+    def test_refuses_fewer_than_three_vertices(self):
+        for g in (path(1), path(2)):
+            d = all_pairs_distances(g)
+            with pytest.raises(PreconditionError, match="^modular k=3 formulas need at least three vertices$"):
+                modular_indices_3(d, distance_moments(d), median_classification(g, d))
+
     def test_refuses_non_modular(self):
         g = cycle(6)
         d = all_pairs_distances(g)

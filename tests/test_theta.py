@@ -36,6 +36,7 @@ from helpers import (
     triple_scan_classification,
     wedge_pairs_per_vertex,
 )
+from steiner_indices import graph as graph_module
 from steiner_indices import theta as theta_module
 from steiner_indices.graph import bfs_distances
 from steiner_indices import (
@@ -470,7 +471,7 @@ class TestPairCounts:
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_row_blocks_match_the_oracle(self, monkeypatch, block):
-        monkeypatch.setattr(theta_module, "_GRAM_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
         for g in [grid(3, 4), hypercube(4), tree(2, 11), prism(6)]:
             _, tc = analyzed(g)
             assert (pair_counts(tc) == quadrant_histogram(tc)).all()
@@ -562,7 +563,7 @@ class TestLabelledPairCounts:
         assert kinds == {"lone", "laminar"}
         assert len(labelled_path) == len(labelled_corpus())
 
-    def test_products_take_gram_rows_and_forest_histograms(self, labelled_path):
+    def test_products_mix_lone_and_laminar_colours(self, labelled_path):
         g = cartesian_product(grid(3, 3), path(2))
         tc = theta_classes(g, method="crossing")
         sizes = np.bincount(colours(tc)[1])
@@ -586,7 +587,7 @@ class TestLabelledPairCounts:
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_row_blocks_match_the_oracle(self, monkeypatch, labelled_path, block):
-        monkeypatch.setattr(theta_module, "_GRAM_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
         for g in [grid(3, 4), hypercube(4), tree(2, 11), cartesian_product(grid(3, 3), path(2))]:
             tc = theta_classes(g, method="crossing")
             assert (pair_counts(tc) == quadrant_histogram(tc)).all()
@@ -909,6 +910,17 @@ def test_median_certificate_equals_the_classifier():
                 assert np.array_equal(getattr(tc, name), getattr(crossing, name)), (name, g.edges)
             median += 1
     assert median >= 700
+
+
+def test_certificate_charges_the_side_matrix():
+    # grid(6, 6) has 148 wedges at 64 bytes, 9472 bytes, and 10 classes of
+    # 36 side entries at 3 bytes, 1080 more: 10000 bytes refuse it at the
+    # side check, after the wedge pass has run, and 11000 certify it
+    g = grid(6, 6)
+    refused = theta_module.median_certificate(g, 10000)
+    assert refused.classes is None and refused.bipartite is True
+    assert all(map(np.array_equal, refused.pairs, theta_module._common_neighbour_pairs(g)))
+    assert theta_module.median_certificate(g, 11000).classes is not None
 
 
 def test_isometry_check_refuses_a_kept_labelling_with_equal_labels():
