@@ -309,10 +309,15 @@ def _tree_labels(g):
     tin[gates] = lo
     sides = np.empty((m, n), dtype=bool)
     rows = max(1, graph._BLOCK_ENTRIES // max(1, n))
-    for s in range(0, m, rows):
-        block = sides[s : s + rows]
-        np.greater_equal(tin, lo[s : s + rows, None], out=block)
-        block &= tin <= hi[s : s + rows, None]
+    # blocks from the last row up; past one block, each takes at most half the
+    # rows still empty, and rows [0, h) of those take tin <= hi, not a temporary
+    end = m
+    while end:
+        h = end if m <= rows else max(1, min(rows, end // 2))
+        block, upper = sides[end - h : end], hi[end - h : end, None]
+        np.greater_equal(tin, lo[end - h : end, None], out=block)
+        block &= tin <= upper if 2 * h > end else np.less_equal(tin, upper, out=sides[:h])
+        end -= h
     return np.arange(m), sides, gates, np.zeros((2, 0), dtype=np.int64)
 
 
@@ -553,8 +558,8 @@ def pair_counts(tc):
     class i, all four follow from a_i, a_j and n_ij^11 = |H_i & H_j|.
 
     A ``ProductClasses`` composes its histogram from its factors'
-    (``_product_pair_counts``); the rest of this text is about classes with
-    a side matrix (``_side_pair_counts``).
+    (``_product_pair_counts``), a path's in closed form; the rest of this
+    text is about classes with a side matrix (``_side_pair_counts``).
 
     With a one-BFS labelling (``tc.gates``, ``tc.crossings``), let z_i be the
     gate of class i, and call H_i, H_j crossing when all four quadrants are
@@ -585,12 +590,12 @@ def pair_counts(tc):
 
 
 def _side_pair_counts(tc):
-    """``pair_counts`` of classes with a side matrix. A product's factors are
-    counted here, not through the public name, so that ``pair_counts`` runs
-    once per graph. The refusal of n >= 2^24 is the one bound of the float
-    products: every partial sum of the float32 Gram here and in
-    ``_crossing_counts`` is an integer of at most n, and the float64 tally
-    of ``_labelled_pair_counts`` stays below d^2 < n^2 < 2^53."""
+    """``pair_counts`` of classes with a side matrix. A product's factors
+    other than paths are counted here, not through the public name, so that
+    ``pair_counts`` runs once per graph. The refusal of n >= 2^24 is the one
+    bound of the float products: every partial sum of the float32 Gram here
+    and in ``_crossing_counts`` is an integer of at most n, and the float64
+    tally of ``_labelled_pair_counts`` stays below d^2 < n^2 < 2^53."""
     if tc.sides is None:
         raise PreconditionError("pair_counts requires valid side partitions for every class")
     n = tc.n
@@ -617,10 +622,28 @@ def _side_pair_counts(tc):
     return hist
 
 
+def _path_pair_counts(f):
+    """``pair_counts`` of a factor that is a path, in closed form, or None if
+    F is not one. A connected F (``theta_classes`` refuses any other) with
+    m = n - 1 and no vertex of degree 3 or more is a path, and each edge is
+    its own class. Edges i < j, in path order, cut it into runs of i + 1,
+    j - i and n - 1 - j vertices and an empty quadrant; in each of the three
+    places, a run of v vertices, 1 <= v <= n - 2, comes from n - 1 - v pairs,
+    whatever the vertex labels."""
+    n = f.n
+    if f.m != n - 1 or np.bincount(np.concatenate((f.eu, f.ev)), minlength=n).max() > 2:
+        return None
+    hist = np.zeros(n + 1, dtype=np.int64)
+    hist[0] = comb(n - 1, 2)
+    hist[1 : n - 1] = 3 * np.arange(n - 2, 0, -1)
+    return hist
+
+
 def _product_pair_counts(tc):
     """``pair_counts`` of a ``ProductClasses``, from the quadrant sizes of its
     docstring: each distinct factor F (n_F vertices, c copies) adds c times
-    its own histogram at v N / n_F, and each pair of factors, of distinct
+    its own histogram at v N / n_F (``_path_pair_counts`` for a path, the
+    side matrix for any other), and each pair of factors, of distinct
     copies, adds the products of their side-size counts at x y N / (n_F n_G).
     Raises IntegralityError unless the histogram sums to 4 C(d, 2)."""
     n = tc.n
@@ -628,7 +651,8 @@ def _product_pair_counts(tc):
     copies = list(Counter(tc.factors).items())
     sides = []  # each factor's side sizes, over both sides of every class, and how many sides have each
     for f, c in copies:
-        hist[:: n // f.n] += c * _side_pair_counts(f)  # bins 0, N / n_F, ..., N
+        own = _path_pair_counts(f)
+        hist[:: n // f.n] += c * (_side_pair_counts(f) if own is None else own)  # bins 0, N / n_F, ..., N
         count = np.bincount(np.concatenate((f.side_sizes, f.n - f.side_sizes)), minlength=f.n + 1)
         (size,) = count.nonzero()
         sides.append((size, count[size]))
@@ -763,7 +787,7 @@ class MedianCertificate:
 
 _WEDGE_BYTES = 64  # peak bytes per wedge of _common_neighbour_pairs: eight int64 arrays
 _SIDE_BYTES = 3  # peak bytes per (class, vertex) entry of the labelling and its checks
-_TOUR_BYTES = 110  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays, a row block
+_TOUR_BYTES = 31  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays and one row
 
 
 def _edge_ids(g, x, y):

@@ -29,14 +29,25 @@ def _untimed(result):
 
 
 def _labelled_sizes(monkeypatch):
-    """The vertex counts of the graphs and classes that the labelling and the
-    side-matrix pair counts are given, as a list that fills as they run."""
+    """(name, n) of each labelling, side-matrix pair count and path closed
+    form that runs, as a list that fills as they run. The closed form is
+    listed only where it gives the histogram, not where it finds no path."""
     from steiner_indices import theta
 
     sizes = []
-    for name in ("_one_bfs_labels", "_side_pair_counts", "_labelled_pair_counts"):
-        original = getattr(theta, name)
-        monkeypatch.setattr(theta, name, lambda x, *a, f=original: sizes.append(x.n) or f(x, *a))
+
+    def recorded(name, original):
+        def call(x, *args):
+            result = original(x, *args)
+            if result is not None or name != "_path_pair_counts":
+                sizes.append((name, x.n))
+            return result
+
+        return call
+
+    names = ("_one_bfs_labels", "_tree_labels", "_side_pair_counts", "_labelled_pair_counts", "_path_pair_counts")
+    for name in names:
+        monkeypatch.setattr(theta, name, recorded(name, getattr(theta, name)))
     return sizes
 
 
@@ -178,13 +189,14 @@ class TestCompute:
         assert expected in out and "method = cut" in out
 
     def test_grid_cut_forms_no_full_gram(self, capsys, monkeypatch):
-        # the classes and quadrant counts come from the 100-vertex path
-        # factors: no labelling, Gram or labelled count over the 10^4 vertices
+        # the classes come from the 100-vertex path factors and their
+        # quadrant counts from the path's closed form: no labelling, Gram or
+        # labelled count over the 10^4 vertices
         sizes = _labelled_sizes(monkeypatch)
         code, out, err = run(capsys, "compute", "--gen", "grid:100,100", "--index", "sww", "--method", "cut")
         assert code == 0, err
         assert f"sww3 = {grid_sww3(100, 100)}" in out and "method = cut" in out
-        assert sizes and max(sizes) == 100
+        assert ("_path_pair_counts", 100) in sizes and max(n for _, n in sizes) == 100
 
     def test_two_by_two_grid_cut_equals_brute_force(self, capsys):
         for index, value in (("sw", 8), ("sww", 12)):  # four triples, each spanning a path of two edges
@@ -192,12 +204,21 @@ class TestCompute:
             assert code == 0, err
             assert f"{index}3 = {value}\nmethod = cut\n" in out and "verified = true" in out
 
+    def test_small_products_verify_against_brute_force(self, capsys):
+        specs = [f"grid:{m},{n}" for m in range(1, 6) for n in range(1, 6) if m * n >= 3]
+        specs += [f"hypercube:{k}" for k in range(2, 6)]
+        for spec in specs:
+            for index in ("sw", "sww"):
+                code, out, err = run(capsys, "compute", "--gen", spec, "--index", index, "--method", "cut", "--verify")
+                assert code == 0, (spec, err)
+                assert "method = cut" in out and "verified = true" in out, (spec, out)
+
     def test_million_vertex_grid_is_cut_from_its_factors(self, capsys, monkeypatch):
         sizes = _labelled_sizes(monkeypatch)
         code, out, err = run(capsys, "compute", "--gen", "grid:1000,1000", "--index", "sww", "--method", "cut")
         assert code == 0, err
         assert f"sww3 = {grid_sww3(1000, 1000)}\nmethod = cut\n" in out
-        assert sizes and max(sizes) == 1000
+        assert ("_path_pair_counts", 1000) in sizes and max(n for _, n in sizes) == 1000
 
     def test_modular_method_on_complete_bipartite_file(self, capsys, tmp_path):
         lines = ["5 6"] + [f"{i} {2 + j}" for i in range(2) for j in range(3)]
@@ -654,10 +675,10 @@ class TestMedianInputWithoutDistances:
         assert f"sww3 = {grid_sww3(20, 20)}\nmethod = cut\n" in out
 
     def test_tree_file_is_charged_what_its_labelling_takes(self, capsys, tmp_path, monkeypatch):
-        # the budget 4 * 300^2 holds (n - 1 + 110) n bytes up to n = 547; 3
+        # the budget 4 * 300^2 holds (n - 1 + 31) n bytes up to n = 585; 3
         # bytes a side entry would have refused the 400-vertex tree
         monkeypatch.setattr(cli, "CLASSIFY_LIMIT", 300)
-        for n, fits in ((400, True), (547, True), (548, False)):
+        for n, fits in ((400, True), (585, True), (586, False)):
             f = tmp_path / f"tree{n}.txt"
             f.write_text(edge_list_text(tree(7, n)))
             if fits:

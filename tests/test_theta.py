@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_parent_labels,
     cartesian_product,
+    chain_graph,
     classification_corpus,
     complete,
     complete_bipartite,
@@ -1033,17 +1034,48 @@ class TestProductClasses:
             assert np.array_equal(pair_counts(composed), quadrant_histogram(built))
 
     def test_histogram_that_does_not_sum_to_the_pair_count_is_refused(self, monkeypatch):
-        counted = theta_module._side_pair_counts
+        def short(count):
+            def drop(tc):  # one quadrant of one pair goes missing
+                hist = count(tc)
+                if hist is not None:
+                    hist = hist.copy()
+                    hist[hist.nonzero()[0][0]] -= 1
+                return hist
 
-        def short(tc):  # one quadrant of one pair goes missing
-            hist = counted(tc).copy()
-            hist[hist.nonzero()[0][0]] -= 1
-            return hist
+            return drop
 
-        composed = product_classes("grid:4,5")
-        monkeypatch.setattr(theta_module, "_side_pair_counts", short)
-        with pytest.raises(IntegralityError, match="do not sum to 4 C"):
-            pair_counts(composed)
+        # grid:4,5 has path factors, counted in closed form; tree(1, 9) has a
+        # vertex of degree 4, so it is counted from its side matrix
+        of_paths = product_classes("grid:4,5")
+        of_a_tree = theta_module.ProductClasses((theta_classes(tree(1, 9)), theta_classes(path(4))))
+        for name, composed in (("_path_pair_counts", of_paths), ("_side_pair_counts", of_a_tree)):
+            assert pair_counts(composed).sum() == 4 * comb(composed.class_count, 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(theta_module, name, short(getattr(theta_module, name)))
+                with pytest.raises(IntegralityError, match="do not sum to 4 C"):
+                    pair_counts(composed)
+
+    def test_path_closed_form_equals_the_side_matrix_count(self):
+        rng = random.Random(30)
+        graphs = [path(n) for n in range(1, 301)]
+        for n in (2, 3, 4, 5, 17, 64, 65, 130, 300):  # labels shuffled along the path
+            for _ in range(3):
+                label = rng.sample(range(n), n)
+                graphs.append(Graph.from_edges(n, list(zip(label, label[1:]))))
+        for g in graphs:
+            tc = theta_classes(g, method="crossing")
+            closed = theta_module._path_pair_counts(tc)
+            assert closed is not None and closed.dtype == np.int64, g.edges
+            assert np.array_equal(closed, theta_module._side_pair_counts(tc)), g.edges
+
+    def test_factors_that_are_not_paths_are_counted_from_their_sides(self):
+        spider = chain_graph([(0, None, 1), (0, None, 2), (0, None, 3)])
+        for f in (star(3), star(8), spider, cycle(6), cycle(8), grid(2, 3)):
+            fc = theta_classes(f)
+            assert theta_module._path_pair_counts(fc) is None, f.edges
+            built = theta_classes(cartesian_product(f, path(4)))
+            composed = theta_module.ProductClasses((fc, theta_classes(path(4))))
+            assert np.array_equal(pair_counts(composed), quadrant_histogram(built)), f.edges
 
 
 def test_float32_grams_refuse_beyond_their_exact_range(monkeypatch):
