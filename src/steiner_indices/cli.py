@@ -1,7 +1,7 @@
 """Command-line front end: compute, classify, and bench subcommands.
 
-Exit codes: 0 success, 1 usage or input error, 2 precondition violation,
-3 verification mismatch. Output is line-oriented "key = value" by default;
+Exit codes: 0 success, 1 usage or input error, 2 precondition violation or
+refused allocation, 3 verification mismatch. Output is "key = value" lines;
 --format json emits one object with the same keys in the same order.
 """
 
@@ -64,7 +64,9 @@ class Analysis:
     """Lazily computed per-graph artifacts shared by the subcommands. With
     ``g`` None the graph of ``desc`` is generated when first read; ``n`` and
     ``m`` come from the descriptor either way (``generators.order_size``,
-    which refuses parameters that have no graph)."""
+    which refuses parameters that have no graph). A graph outside a known
+    family, read or generated, takes ``theta.median_certificate``, and if it
+    is turned away ``theta.median_classification``."""
 
     def __init__(self, g, desc, force=False):
         if g is not None:
@@ -110,12 +112,11 @@ class Analysis:
 
     @cached_property
     def classification(self):
-        if self.desc is not None:
-            known = generators.family_classification(self.desc)
-            if known is not None:
-                return known
-            d = self.d  # refused above the limit before the graph is built
-            return theta.median_classification(self.g, d, cut=lambda: self.cut)
+        known = self.desc and generators.family_classification(self.desc)
+        if known is not None:
+            return known
+        if self.desc and self.over_limit:
+            self.d  # refused before the graph is built
         cert = self.certificate
         if cert.classes is not None:
             return theta.MEDIAN  # certified without the distance matrix
@@ -125,22 +126,19 @@ class Analysis:
 
     @cached_property
     def theta(self):
-        # classes built while classifying are reused: the certificate's, or
-        # the cut pass's of a partial cube that is not median; other crossing
-        # classes read the distance matrix only if classification built it
-        # (one BFS labels a median graph). A product family's classes are its
-        # factors', lifted: each distinct factor is built and labelled once
+        # classes built while classifying are reused: the certificate's, or the
+        # cut pass's of a partial cube that is not median. A product family's
+        # are its factors', lifted: each distinct factor built and labelled once
         factors = self.desc and generators.cartesian_factors(self.desc)
         if factors is not None:
             built = {f: theta.theta_classes(generators.generate(f), method="crossing") for f in dict.fromkeys(factors)}
             return theta.ProductClasses(tuple(built[f] for f in factors))
-        built = self.__dict__
         if self.classification.partial_cube:
-            if self.desc is None and self.certificate.classes is not None:
+            if self.desc and generators.family_classification(self.desc) is not None:
+                return theta.theta_classes(self.g, method="crossing")
+            if self.certificate.classes is not None:
                 return self.certificate.classes
-            if built.get("cut") is not None:
-                return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, *self.cut)
-            return theta.theta_classes(self.g, built.get("d"), method="crossing")
+            return theta.ThetaClasses(self.g.n, self.g.eu, self.g.ev, *self.cut)
         if self.m > PAIRWISE_EDGE_LIMIT:
             raise PreconditionError(
                 f"graph too large for the pairwise Theta scan (|E|={self.m})"
@@ -357,7 +355,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except PreconditionError as exc:
+    except (PreconditionError, MemoryError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

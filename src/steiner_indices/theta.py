@@ -787,7 +787,8 @@ class MedianCertificate:
 
 _WEDGE_BYTES = 64  # peak bytes per wedge of _common_neighbour_pairs: eight int64 arrays
 _SIDE_BYTES = 3  # peak bytes per (class, vertex) entry of the labelling and its checks
-_TOUR_BYTES = 31  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays and one row
+_TOUR_BYTES = 31  # peak bytes per vertex of _tree_labels over its sides from n = 3000: O(n) arrays and one row;
+# below n = 3000 it takes more (80 bytes at n = 513, 48 at 1000, 31 at 2000), where the CLI charges no tree
 
 
 def _edge_ids(g, x, y):
@@ -1026,14 +1027,14 @@ def median_classification(g, d=None, bipartite=None, pairs=None, cut=None):
     has no induced K_{2,3}, i.e. no pair with three common neighbours. Graphs
     with n < 3 are classified median by convention. Every median graph gets
     ``MEDIAN``: it is a partial cube by theorem (Mulder 1978) and, like the
-    generated median families, takes its crossing classes unchecked. The
-    CLI first tries ``median_certificate``, which gives a median graph
-    ``MEDIAN`` and its classes with no distance matrix, so this runs only
-    on the graphs it turns away, and takes the certificate's bipartite
-    verdict and wedge pairs (``bipartite``, ``pairs``) where it computed
-    them. ``cut`` is the zero-argument call that runs the certified cut
-    pass, ``_cut_classes(g, d.a)`` by default; a caller that keeps its
-    result for the Theta classes builds them once.
+    generated median families, takes its crossing classes unchecked. On any
+    graph outside a known family, read or generated, the CLI first tries
+    ``median_certificate``, which gives a median graph ``MEDIAN`` and its
+    classes with no distance matrix, so this runs only on the graphs it
+    turns away, with its bipartite verdict and wedge pairs (``bipartite``,
+    ``pairs``) where it computed them. ``cut`` is the zero-argument call
+    that runs the certified cut pass, ``_cut_classes(g, d.a)`` by default;
+    a caller that keeps its result for the Theta classes builds them once.
 
     The witness is the lexicographically first triple with no median
     (not_modular) or with at least two medians (modular_not_median). Every

@@ -627,6 +627,21 @@ class TestRefusalsBeforeDistances:
         assert run(capsys, "classify", "--input", str(f)) == (
             2, "", "error = graph too large for the pairwise Theta scan (|E|=51040)\n")
 
+    def test_non_bipartite_descriptor_is_refused_without_all_pairs_distances(self, capsys, monkeypatch):
+        # a descriptor with no known classification is certified like a file
+        from steiner_indices import graph, theta
+
+        def refuse(*args):
+            raise AssertionError("all-pairs distances were computed for a refused run")
+
+        monkeypatch.setattr(graph, "all_pairs_distances", refuse)
+        monkeypatch.setattr(theta, "all_pairs_distances", refuse)
+        scan = "error = graph too large for the pairwise Theta scan (|E|=3160)\n"
+        assert run(capsys, "classify", "--gen", "complete:80") == (2, "", scan)
+        no_cube = "error = graph is not a verified partial cube\n"
+        assert run(capsys, "compute", "--gen", "complete:40", "--index", "w", "--method", "cut") == (2, "", no_cube)
+        assert run(capsys, "bench", "--gen", "complete:80") == (2, "", no_cube)
+
     def test_dense_non_bipartite_file_builds_no_wedge_pairs(self, capsys, monkeypatch, tmp_path):
         from steiner_indices import theta
 
@@ -902,6 +917,18 @@ class TestErrors:
         monkeypatch.setitem(cli._METHODS, "cut", odd)
         argv = ("compute", "--gen", "grid:3,3", "--index", "sww", "--method", "cut")
         assert run(capsys, *argv) == (2, "", "internal error = odd sum\n")
+
+    def test_refused_allocation_exits_2(self, capsys, monkeypatch):
+        from steiner_indices import theta
+
+        text = "Unable to allocate 931. GiB for an array with shape (999999, 1000000) and data type bool"
+
+        def too_large(g):  # numpy's refusal of the side matrix of tree:5,1000000
+            raise MemoryError(text)
+
+        monkeypatch.setattr(theta, "_tree_labels", too_large)
+        argv = ("compute", "--gen", "tree:5,50", "--index", "sw", "--method", "cut")
+        assert run(capsys, *argv) == (2, "", f"error = {text}\n")
 
     def test_bad_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -1025,8 +1025,9 @@ class TestProductClasses:
 
     def test_any_partial_cube_factors_compose(self):
         # the lifting holds for every pair of connected factors with sides:
-        # a tree, C6 and C8 (partial cubes that are not median), a grid
-        factors = [tree(3, 9), cycle(6), cycle(8), grid(2, 3), path(1)]
+        # a tree with a vertex of degree 4, C6 and C8 (partial cubes that are
+        # not median), a grid
+        factors = [tree(1, 9), cycle(6), cycle(8), grid(2, 3), path(1)]
         classes = [theta_classes(f) for f in factors]
         for (f, fc), (h, hc) in combinations(zip(factors, classes), 2):
             built, composed = theta_classes(cartesian_product(f, h)), theta_module.ProductClasses((fc, hc))
