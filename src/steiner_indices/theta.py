@@ -333,43 +333,33 @@ def _cut_classes(g, a):
     ``a`` of a connected graph, or None if G is no partial cube.
 
     The class of the first edge uv not yet taken is the cut between W_uv and
-    W_vu, the vertices closer to u and those closer to v. The pass refuses a
-    vertex equidistant from u and v, and an edge xy of the cut whose W_xy is
-    neither W_uv nor W_vu.
-    - A new cut meets no earlier one. Let xy be an edge of an accepted cut
-      with side V, x in V. Its check gave d(w, x) < d(w, y) iff w is in V,
-      so f(w) = d(w, x) - d(w, y) is -1 on V and 0 or 1 off it. A later uv
-      is off every earlier cut, so f(u), f(v) are both -1 or both in {0, 1}.
-      The tie check made g(w) = d(w, u) - d(w, v) +-1, so g(x) - g(y) =
-      f(u) - f(v) is even and in [-1, 1], so 0: xy is not in the cut of uv.
-    - Passing proves a partial cube. The cuts tile E, and every cycle
-      crosses each cut an even number of times, so G is bipartite. In a
-      bipartite graph Theta(f) is the cut of W_f, so the check gives
-      Theta(f) = K_i for every f in class K_i: Theta is transitive, and G is
-      a partial cube (Winkler 1984).
-    - A partial cube passes. It has no ties, its Theta is transitive, and
-      Theta-related edges have the same W-sets (Djokovic 1973).
+    W_vu, the vertices closer to u and those closer to v. The pass refuses
+    an edge that falls in two cuts, so every edge flips one coordinate, and
+    then a labelling that fails (ii) of ``median_certificate``
+    (``_isometric``). Its argument, which uses no median property, makes
+    passing prove an isometric embedding whose coordinate classes are
+    Theta*, and a partial cube passes: its cuts are its Theta classes
+    (Djokovic 1973), and (ii) holds on any partial cube.
     """
     eu, ev = g.eu, g.ev
     edge_class = np.full(eu.size, -1, dtype=np.int64)
     sides = []
-    rows = max(1, graph._BLOCK_ENTRIES // max(1, g.n))
     for i in range(eu.size):
         if edge_class[i] >= 0:
             continue
         du, dv = a[eu[i]], a[ev[i]]
         if (du == dv).any():
-            return None  # tie: not bipartite along this edge's cut
+            return None  # early exit: a tie shows G not bipartite, which the refusals below catch too
         closer_v = dv < du
         idx = np.flatnonzero(closer_v[eu] != closer_v[ev])
-        near = np.where(closer_v[eu[idx]], eu[idx], ev[idx])  # the end of each edge on v's side
-        far = eu[idx] + ev[idx] - near
-        for lo in range(0, idx.size, rows):
-            if ((a[near[lo : lo + rows]] < a[far[lo : lo + rows]]) != closer_v).any():
-                return None  # W_xy is neither W_uv nor W_vu
+        if (edge_class[idx] >= 0).any():
+            return None  # an edge in two cuts
         edge_class[idx] = len(sides)
         sides.append(closer_v ^ closer_v[0])
-    return edge_class, np.array(sides, dtype=bool).reshape(len(sides), g.n)
+    sides = np.array(sides, dtype=bool).reshape(len(sides), g.n)
+    if eu.size and not _isometric(g, edge_class, sides):
+        return None
+    return edge_class, sides
 
 
 def _theta_classes_crossing(g, d):
@@ -818,7 +808,8 @@ def _bit_rows(bits):
 def _isometric(g, edge_class, sides):
     """(ii) of ``median_certificate``: every vertex u is the only vertex on
     u's side of each class of an edge at u. Each side is a row of bits over
-    the vertices, and u ANDs the rows of its CSR slots."""
+    the vertices, and u ANDs the rows of its CSR slots. Every vertex must
+    have an edge: ``reduceat`` gives an empty CSR segment the next row."""
     n = g.n
     side1, every = _bit_rows(sides), _bit_rows(np.ones((1, n), dtype=bool))[0]
     u = np.repeat(np.arange(n), np.diff(g.indptr))
@@ -1053,8 +1044,8 @@ def median_classification(g, d=None, bipartite=None, pairs=None, cut=None):
       subgraph of a partial cube is one (Mulder 1980), and K_{2,3} is not.
       So a modular partial cube is exactly a median graph, and only a
       bipartite, non-modular G with no K_{2,3} needs the partial-cube check:
-      the certified cut pass ``_cut_classes``, which passes iff G is a
-      partial cube.
+      the cut pass ``_cut_classes``, certified by the isometry check (ii)
+      of ``median_certificate``, which passes iff G is a partial cube.
     - The witness, and that partial-cube verdict, are computed on first
       read; ``compute`` rarely reads them.
     """

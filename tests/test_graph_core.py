@@ -1,4 +1,4 @@
-"""Parsing, BFS distances, and the three distance moments."""
+"""Parsing, BFS distances, the three distance moments, and input refusals."""
 
 import random
 from itertools import combinations
@@ -24,15 +24,22 @@ from steiner_indices import graph as graph_module
 from steiner_indices import (
     DisconnectedGraphError,
     DistanceMatrix,
+    GeneratorDescriptor,
     Graph,
     GraphFormatError,
+    IntegralityError,
+    PreconditionError,
     all_pairs_distances,
     distance_moments,
     hyper_wiener,
     is_bipartite,
     modular_indices_3,
+    order_size,
     parse_edge_list,
+    steiner_distance,
+    theta_classes,
 )
+from steiner_indices.errors import exact_div
 from steiner_indices.graph import bfs_distances
 from steiner_indices.theta import MEDIAN
 
@@ -120,6 +127,29 @@ def test_construction_names_the_first_faulty_edge(edges, message):
         with pytest.raises(ValueError) as exc:
             Graph.from_edges(3, form)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Graph.from_edges(-1, []), ValueError, "vertex count must be nonnegative, got -1"),
+        (lambda: parse_edge_list("-1 0\n"), GraphFormatError, "line 1: header counts must be nonnegative"),
+        (lambda: DistanceMatrix(np.zeros((2, 3))), ValueError, "distance matrix must be square"),
+        (lambda: steiner_distance(path(3), all_pairs_distances(path(3)), []), PreconditionError,
+         "terminal set must be non-empty"),
+        (lambda: steiner_distance(path(3), all_pairs_distances(path(3)), [0, 3]), PreconditionError,
+         "terminal out of range [0, 3)"),
+        (lambda: theta_classes(path(3), method="bogus"), ValueError, "unknown method 'bogus'"),
+        (lambda: exact_div(3, 2), IntegralityError, "3 is not divisible by 2"),
+        (lambda: order_size(GeneratorDescriptor("bogus", (3,))), ValueError, "unknown generator kind 'bogus'"),
+    ],
+    ids=["negative-n", "negative-header", "non-square", "no-terminals", "terminal-range", "theta-method",
+         "inexact-division", "generator-kind"],
+)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_graph_arrays_are_read_only():

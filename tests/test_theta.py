@@ -935,6 +935,24 @@ def test_isometry_check_refuses_a_kept_labelling_with_equal_labels():
     assert theta_module._isometric(g, *theta_module._one_bfs_labels(g, bfs_distances(g, 0))[:2])
 
 
+def test_cut_pass_refuses_each_graph_at_its_own_exit(monkeypatch):
+    # K3 ties at its first edge. In K_{2,3} the cut of (0, 3) takes (1, 4),
+    # already in the cut of (0, 2). G6, K_{2,3} on 1..5 with a pendant 0 at
+    # 2, puts each edge in one cut but gives 6 vertices 3 coordinates, which
+    # the isometry check (ii) refuses
+    real, checked = theta_module._isometric, []
+    monkeypatch.setattr(theta_module, "_isometric", lambda g, *labels: checked.append(g.n) or real(g, *labels))
+    k23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    g6 = Graph.from_edges(6, [(0, 2), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)])
+    for g, isometry_checked in ((complete(3), False), (k23, False), (g6, True)):
+        checked.clear()
+        assert theta_module._cut_classes(g, all_pairs_distances(g).a) is None, g.edges
+        assert checked == ([g.n] if isometry_checked else []), g.edges
+    for n in (1, 2):
+        edge_class, sides = theta_module._cut_classes(path(n), all_pairs_distances(path(n)).a)
+        assert edge_class.tolist() == list(range(n - 1)) and sides.tolist() == [[False, True]][: n - 1]
+
+
 @st.composite
 def connected_bipartite_graphs(draw, max_n=12):
     """A random labelled tree on 3..max_n vertices plus chords joining its two colours."""
